@@ -788,6 +788,20 @@ fn write_stats_summary(snap: &fsmon_telemetry::Snapshot, out: &mut dyn Write) {
         misses,
         100.0 * hits as f64 / (hits + misses).max(1) as f64,
     );
+    // Where the paths came from instead: joined onto a resolved parent
+    // directory, and how many lookups a batch handed to the resolver
+    // pool (0 = every path of the batch was already cached).
+    let prefetch = snap
+        .histogram("fsmon_fid2path_prefetch_fids")
+        .unwrap_or_else(fsmon_telemetry::HistogramSnapshot::empty);
+    let _ = writeln!(
+        out,
+        "            {} parent joins, prefetch mean {:.1} / p99 {} fids per batch, {} subtree flushes",
+        snap.counter("fsmon_fid2path_parent_joins_total"),
+        prefetch.mean(),
+        prefetch.quantile(0.99),
+        snap.counter("fsmon_fid2path_cache_flushes_total"),
+    );
     let _ = writeln!(
         out,
         "mq        : {} published, {} hwm-dropped, {} tcp frames",

@@ -235,6 +235,31 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         Some(self.slab[idx].value.clone())
     }
 
+    /// Visit every entry, in no particular order: `f` may rewrite the
+    /// value in place and returns whether the entry stays. Recency and
+    /// hit/miss counters are left alone. Returns how many entries `f`
+    /// removed. One O(len) pass — for rare bulk invalidation (a renamed
+    /// directory's cached descendants), not for the per-event path.
+    pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) -> usize {
+        let slab = &mut self.slab;
+        let mut dropped = Vec::new();
+        self.map.retain(|key, idx| {
+            let keep = f(key, &mut slab[*idx].value);
+            if !keep {
+                dropped.push(*idx);
+            }
+            keep
+        });
+        for &idx in &dropped {
+            self.detach(idx);
+            self.free.push(idx);
+        }
+        if let Some(t) = &self.telemetry {
+            t.entries.sub(dropped.len() as i64);
+        }
+        dropped.len()
+    }
+
     /// Drop every entry (counters survive).
     pub fn clear(&mut self) {
         if let Some(t) = &self.telemetry {
@@ -320,6 +345,30 @@ mod tests {
         assert_eq!(c.get(&"b"), Some(2));
         assert_eq!(c.get(&"c"), Some(3));
         assert_eq!(c.get(&"d"), Some(4));
+    }
+
+    #[test]
+    fn retain_rewrites_and_drops_without_touching_recency() {
+        let mut c = LruCache::new(3);
+        c.insert("a", 1);
+        c.insert("b", 2);
+        c.insert("c", 3);
+        let dropped = c.retain(|key, v| {
+            *v *= 10;
+            *key != "b"
+        });
+        assert_eq!(dropped, 1);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.peek(&"a"), Some(&10));
+        assert_eq!(c.peek(&"b"), None);
+        assert_eq!(c.stats().hits + c.stats().misses, 0);
+        // "a" is still the least recently used: the freed slot takes
+        // "d", the next insert evicts "a".
+        c.insert("d", 4);
+        c.insert("e", 5);
+        assert_eq!(c.peek(&"a"), None);
+        assert_eq!(c.peek(&"c"), Some(&30));
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

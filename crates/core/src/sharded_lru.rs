@@ -106,6 +106,12 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLruCache<K, V> {
         self.shard_of(key).lock().unwrap().get(key)
     }
 
+    /// Whether `key` is resident, without promoting or counting — a
+    /// read-only probe that leaves recency and hit/miss stats alone.
+    pub fn contains(&self, key: &K) -> bool {
+        self.shard_of(key).lock().unwrap().peek(key).is_some()
+    }
+
     /// Insert (or refresh) `key` in its shard.
     pub fn insert(&self, key: K, value: V) {
         self.shard_of(&key).lock().unwrap().insert(key, value)
@@ -114,6 +120,15 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLruCache<K, V> {
     /// Remove `key` from its shard.
     pub fn remove(&self, key: &K) -> Option<V> {
         self.shard_of(key).lock().unwrap().remove(key)
+    }
+
+    /// [`LruCache::retain`] over every shard, one lock at a time;
+    /// returns the entries removed.
+    pub fn retain(&self, mut f: impl FnMut(&K, &mut V) -> bool) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| shard.lock().unwrap().retain(&mut f))
+            .sum()
     }
 
     /// Clear every shard (counters survive, as for [`LruCache`]).
@@ -140,10 +155,22 @@ mod tests {
         assert_eq!(cache.get(&1).as_deref(), Some("one"));
         assert_eq!(cache.remove(&2).as_deref(), Some("two"));
         assert_eq!(cache.get(&2), None);
+        // The read-only probe counts as neither hit nor miss.
+        assert!(cache.contains(&1));
+        assert!(!cache.contains(&2));
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);
         assert_eq!(cache.len(), 1);
+        // Bulk pass: rewrite in place, keep everything.
+        assert_eq!(
+            cache.retain(|_, v| {
+                v.push('!');
+                true
+            }),
+            0
+        );
+        assert_eq!(cache.get(&1).as_deref(), Some("one!"));
     }
 
     #[test]

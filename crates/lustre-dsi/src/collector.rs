@@ -1,12 +1,15 @@
 //! The per-MDS collector: Changelog extraction and Algorithm 1.
 //!
 //! Resolution — the `fid2path` stage that dominates collector cost —
-//! runs on a fixed worker pool against a sharded, lock-striped LRU
-//! ([`ShardedLruCache`]), with batch order restored by changelog index
-//! before events are published, so the downstream exactly-once dedup
-//! contract (batch index ranges) is unchanged.
+//! is directory-first and prefetch-then-serial ([`Resolver`]): a record
+//! that names its parent resolves as `path(parent) ⊕ name`, the FIDs a
+//! batch will miss are looked up concurrently on a fixed worker pool,
+//! and then one thread runs Algorithm 1 over the batch in changelog
+//! order. Only that thread touches the cache, so the event stream is
+//! the same for every pool width.
 
 use fsmon_core::ShardedLruCache;
+use fsmon_events::changelog::ChangelogKind;
 use fsmon_events::wire::{encode_tlv, TLV_TRACE};
 use fsmon_events::{encode_event_batch_into, EventKind, MonitorSource, StandardEvent};
 use fsmon_faults::Retry;
@@ -14,7 +17,8 @@ use fsmon_mq::{Message, PubSocket};
 use fsmon_telemetry::{TraceRecord, TraceStage, Tracer};
 use lustre_sim::changelog::ChangelogUser;
 use lustre_sim::namespace::{FsError, MdtHandle};
-use lustre_sim::{ChangelogRecord, Fid};
+use lustre_sim::{ChangelogRecord, CostModel, Fid};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -93,75 +97,87 @@ impl FleetMirror {
     }
 }
 
-/// The thread-safe resolution core shared between the collector and
-/// its worker pool: Algorithm 1's `processEvent` with all mutable
-/// state behind atomics and the sharded cache.
-struct Resolver {
+/// A `fid2path` outcome. The error carries nothing: a deleted FID and
+/// an exhausted retry budget degrade the same way, to reconstruction
+/// from the record's own parent + name.
+type Resolved = Result<String, ()>;
+
+/// What it takes to run `fid2path`: the MDS handle, the retry policy
+/// and the counters every call feeds. It holds no path state, so the
+/// step thread and the pool workers share it freely.
+struct Lookup {
     mdt: MdtHandle,
-    watch_root: String,
-    /// `fid → absolute path` memoization. `None` reproduces the
-    /// paper's "without cache" configuration.
-    cache: Option<ShardedLruCache<Fid, String>>,
     retry: Retry,
-    fid2path_calls: AtomicU64,
-    parent_dir_removed: AtomicU64,
-    events: AtomicU64,
-    t_fid2path: Arc<fsmon_telemetry::Counter>,
-    t_fid2path_retries: Arc<fsmon_telemetry::Counter>,
+    /// Charged on top of every call: the client→MDS round trip of the
+    /// Robinhood baseline, `Free` for a collector on the MDS itself.
+    penalty: CostModel,
+    calls: AtomicU64,
+    t_calls: Arc<fsmon_telemetry::Counter>,
+    t_retries: Arc<fsmon_telemetry::Counter>,
     /// Wall-clock latency of each `fid2path` resolution, including
     /// retries (ns) — the bench harness reads its p99.
     t_resolve_ns: Arc<fsmon_telemetry::Histogram>,
 }
 
-/// One chunk of a batch dispatched to the resolver pool.
-#[derive(Debug)]
-struct ResolveJob {
-    seq: usize,
-    records: Vec<ChangelogRecord>,
+impl Lookup {
+    /// One `fid2path`. Transient MDS errors (injected or real) are
+    /// retried with backoff; a permanent failure (deleted FID) and an
+    /// exhausted retry budget both come back as `Err`.
+    fn fid2path(&self, fid: Fid) -> Resolved {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.t_calls.inc();
+        let t0 = std::time::Instant::now();
+        let mut backoff = self.retry.backoff();
+        let resolved = loop {
+            self.penalty.charge();
+            match self.mdt.fid2path(fid) {
+                Err(FsError::Transient(_)) => match backoff.next() {
+                    Some(sleep) => {
+                        self.t_retries.inc();
+                        std::thread::sleep(sleep);
+                    }
+                    None => break Err(()),
+                },
+                other => break other.map_err(|_| ()),
+            }
+        };
+        self.t_resolve_ns.record(t0.elapsed().as_nanos() as u64);
+        resolved
+    }
 }
 
-/// A resolved chunk: events plus the changelog index behind each one.
-struct ResolvedChunk {
-    seq: usize,
-    events: Vec<StandardEvent>,
-    indices: Vec<u64>,
-}
+/// Most FIDs per pool job: small, so the waits of a batch balance over
+/// the workers, but not one, so a burst of cheap lookups does not pay
+/// a thread wake-up each.
+const JOB_FIDS: usize = 16;
 
-/// Fixed pool of resolution workers. One batch is in flight at a time
-/// (the collector's step drives it synchronously), so a single shared
-/// completion channel suffices; chunk order is restored by `seq`.
+/// Fixed pool of lookup workers: FIDs in, `(Fid, Resolved)` out. One
+/// batch is in flight at a time (the collector's step drives it
+/// synchronously), so a single shared completion channel suffices.
 struct ResolverPool {
-    job_tx: Option<crossbeam::channel::Sender<ResolveJob>>,
-    done_rx: crossbeam::channel::Receiver<ResolvedChunk>,
+    job_tx: Option<crossbeam::channel::Sender<Vec<Fid>>>,
+    done_rx: crossbeam::channel::Receiver<Vec<(Fid, Resolved)>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ResolverPool {
-    fn spawn(resolver: Arc<Resolver>, threads: usize, mdt_index: u16) -> ResolverPool {
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<ResolveJob>();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<ResolvedChunk>();
+    fn spawn(lookup: &Arc<Lookup>, threads: usize) -> ResolverPool {
+        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Vec<Fid>>();
+        let (done_tx, done_rx) = crossbeam::channel::unbounded();
         let workers = (0..threads)
             .map(|w| {
                 let job_rx = job_rx.clone();
                 let done_tx = done_tx.clone();
-                let resolver = resolver.clone();
+                let lookup = lookup.clone();
                 std::thread::Builder::new()
-                    .name(format!("resolver-mdt{mdt_index}-{w}"))
+                    .name(format!("resolver-mdt{}-{w}", lookup.mdt.index()))
                     .spawn(move || {
-                        while let Ok(job) = job_rx.recv() {
-                            let mut events = Vec::with_capacity(job.records.len());
-                            let mut indices = Vec::with_capacity(job.records.len());
-                            for rec in &job.records {
-                                let produced = resolver.process_record(rec);
-                                indices.extend(std::iter::repeat_n(rec.index, produced.len()));
-                                events.extend(produced);
-                            }
-                            let chunk = ResolvedChunk {
-                                seq: job.seq,
-                                events,
-                                indices,
-                            };
-                            if done_tx.send(chunk).is_err() {
+                        while let Ok(fids) = job_rx.recv() {
+                            let done: Vec<(Fid, Resolved)> = fids
+                                .into_iter()
+                                .map(|fid| (fid, lookup.fid2path(fid)))
+                                .collect();
+                            if done_tx.send(done).is_err() {
                                 break;
                             }
                         }
@@ -173,6 +189,27 @@ impl ResolverPool {
             job_tx: Some(job_tx),
             done_rx,
             workers,
+        }
+    }
+
+    /// Look up every FID of `fids`, as many at a time as there are
+    /// workers, and file the outcomes under their FID.
+    fn lookup_all(&self, fids: &[Fid], into: &mut HashMap<Fid, Vec<Resolved>>) {
+        let job_tx = self.job_tx.as_ref().expect("pool alive");
+        // At least four jobs per worker while there are FIDs for them.
+        let per_job = fids
+            .len()
+            .div_ceil(4 * self.workers.len())
+            .clamp(1, JOB_FIDS);
+        let jobs = fids.chunks(per_job);
+        let n_jobs = jobs.len();
+        for job in jobs {
+            job_tx.send(job.to_vec()).expect("resolver pool alive");
+        }
+        for _ in 0..n_jobs {
+            for (fid, resolved) in self.done_rx.recv().expect("resolver pool alive") {
+                into.entry(fid).or_default().push(resolved);
+            }
         }
     }
 }
@@ -188,15 +225,54 @@ impl Drop for ResolverPool {
     }
 }
 
+/// Algorithm 1's `processEvent`, directory-first, plus the per-batch
+/// prefetch that feeds it. Shared by the collector and the Robinhood
+/// baseline so the two differ in architecture, not in resolution.
+///
+/// Every method runs on the one thread that owns the resolver: the
+/// pool only ever sees FIDs, so the cache is read and written in
+/// changelog order whatever the pool width.
+pub(crate) struct Resolver {
+    lookup: Arc<Lookup>,
+    watch_root: String,
+    /// `fid → absolute path` memoization. `None` reproduces the
+    /// paper's "without cache" configuration.
+    cache: Option<ShardedLruCache<Fid, String>>,
+    /// Lookups in flight during a batch's prefetch (1 = none: every
+    /// miss is looked up inline by the serial pass).
+    threads: usize,
+    /// Spawned on the first batch that has lookups to overlap.
+    pool: Option<ResolverPool>,
+    /// This batch's prefetched lookups; the serial pass consumes them.
+    prefetched: HashMap<Fid, Vec<Resolved>>,
+    /// Whether a rename can move a cached directory without this
+    /// resolver reading its RENME first. With one MDT it cannot: the
+    /// changelog orders every rename before the records that follow
+    /// it. On DNE a directory's RENME is logged on its *parent's* MDT
+    /// only, so a cached directory path is re-checked against the MDS
+    /// before a newer record may join onto it ([`Resolver::admit`]).
+    recheck_dirs: bool,
+    /// Directories whose cached path was looked up, or built from one
+    /// that was, at or after `checked_at` (simulated clock): good for
+    /// every record stamped no later than that.
+    checked: HashSet<Fid>,
+    checked_at: u64,
+    /// Standardized events produced so far.
+    pub(crate) events: u64,
+    parent_dir_removed: u64,
+    /// Paths built as `path(parent) ⊕ name`.
+    t_parent_joins: Arc<fsmon_telemetry::Counter>,
+    /// FIDs handed to the pool per batch (0 = pool not used).
+    t_prefetch_fids: Arc<fsmon_telemetry::Histogram>,
+    /// Directory moves that found stale descendants in the cache.
+    t_cache_flushes: Arc<fsmon_telemetry::Counter>,
+}
+
 /// A collector service for one MDS.
 pub struct Collector {
     mdt: MdtHandle,
     user: ChangelogUser,
-    resolver: Arc<Resolver>,
-    /// Worker pool, spawned lazily on the first step once the thread
-    /// count is known (>1). `None` resolves inline on the step thread.
-    pool: Option<ResolverPool>,
-    resolver_threads: usize,
+    resolver: Resolver,
     last_index: u64,
     batch_size: usize,
     publisher: Option<PubSocket>,
@@ -236,39 +312,21 @@ impl Collector {
     ) -> Collector {
         let user = mdt.register_user();
         let topic = format!("mdt{}", mdt.index()).into_bytes();
-        let mdt_label = mdt.index().to_string();
-        let scope = fsmon_telemetry::root()
-            .scope("collector")
-            .with_label("mdt", mdt_label.clone());
-        let fid2path_scope = fsmon_telemetry::root()
-            .scope("fid2path")
-            .with_label("mdt", mdt_label);
-        // The resolver gets its own handle to the same MDT so it can be
-        // shared with pool workers independently of the collector's.
-        let resolver_mdt = mdt.fs().mdt(mdt.index());
-        let resolver = Resolver {
-            mdt: resolver_mdt,
-            watch_root: watch_root.into(),
-            cache: if cache_size > 0 {
-                Some(ShardedLruCache::new(cache_size, CACHE_SHARDS).instrument(&fid2path_scope))
-            } else {
-                None
-            },
-            retry: Retry::fast(),
-            fid2path_calls: AtomicU64::new(0),
-            parent_dir_removed: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            t_fid2path: fid2path_scope.counter("calls_total"),
-            t_fid2path_retries: scope.counter("fid2path_retries_total"),
-            t_resolve_ns: fid2path_scope.histogram("resolve_ns"),
-        };
+        let labelled = fsmon_telemetry::root().with_label("mdt", mdt.index().to_string());
+        let scope = labelled.scope("collector");
+        // The resolver shares its own handle to the MDT with its workers.
+        let resolver = Resolver::new(
+            mdt.fs().mdt(mdt.index()),
+            watch_root.into(),
+            cache_size,
+            CostModel::Free,
+            &labelled,
+        );
         let fleet = FleetMirror::new(mdt.index());
         Collector {
             mdt,
             user,
-            resolver: Arc::new(resolver),
-            pool: None,
-            resolver_threads: 1,
+            resolver,
             last_index: 0,
             batch_size,
             publisher,
@@ -288,10 +346,10 @@ impl Collector {
     }
 
     /// Override the retry policy for transient MDS errors. Must be
-    /// called before the first step (the resolver is not yet shared
-    /// with pool workers).
+    /// called before the first step (the lookup handle is not yet
+    /// shared with pool workers).
     pub fn with_retry(mut self, retry: Retry) -> Collector {
-        Arc::get_mut(&mut self.resolver)
+        Arc::get_mut(&mut self.resolver.lookup)
             .expect("set retry before the collector starts stepping")
             .retry = retry;
         self
@@ -306,12 +364,13 @@ impl Collector {
         self
     }
 
-    /// Resolve `fid2path` on a fixed pool of `threads` workers (1 =
-    /// inline on the step thread, the default). Batch order is restored
-    /// by changelog index after the parallel stage, so published
-    /// batches are indistinguishable from serial resolution.
+    /// Keep up to `threads` `fid2path` lookups in flight while a batch
+    /// is prefetched (1 = every lookup inline on the step thread, the
+    /// default). Only lookups leave the step thread — the cache and
+    /// Algorithm 1 stay on it — so the event stream is the same for
+    /// every value.
     pub fn with_resolver_threads(mut self, threads: usize) -> Collector {
-        self.resolver_threads = threads.max(1);
+        self.resolver.threads = threads.max(1);
         self
     }
 
@@ -358,9 +417,9 @@ impl Collector {
     /// Counters so far.
     pub fn stats(&self) -> CollectorStats {
         let mut stats = self.stats;
-        stats.events = self.resolver.events.load(Ordering::Relaxed);
-        stats.fid2path_calls = self.resolver.fid2path_calls.load(Ordering::Relaxed);
-        stats.parent_dir_removed = self.resolver.parent_dir_removed.load(Ordering::Relaxed);
+        stats.events = self.resolver.events;
+        stats.fid2path_calls = self.resolver.fid2path_calls();
+        stats.parent_dir_removed = self.resolver.parent_dir_removed;
         if let Some(cache) = &self.resolver.cache {
             let s = cache.stats();
             stats.cache_hits = s.hits;
@@ -422,15 +481,12 @@ impl Collector {
         let first_index = records.first().expect("non-empty").index;
         let batch_last_index = records.last().expect("non-empty").index;
         let n_records = records.len();
-        // Resolve the batch — on the worker pool when configured, with
-        // order restored by chunk sequence (chunks are contiguous
-        // changelog-index ranges), else inline. `event_indices` carries
-        // the changelog index of the record behind each event (RENME
-        // yields two events for one record), so the aggregator can drop
-        // exactly the re-published events when a restarted collector's
-        // batch straddles its dedup highwater.
+        // `event_indices` carries the changelog index of the record
+        // behind each event (RENME yields two events for one record), so
+        // the aggregator can drop exactly the re-published events when a
+        // restarted collector's batch straddles its dedup highwater.
         let read_ns = if tracing { self.tracer.now_ns() } else { 0 };
-        let (events, event_indices) = self.resolve_batch(records);
+        let (events, event_indices) = self.resolver.resolve_batch(&records);
         // Sample traces by batch position: each sampled event gets a
         // record stamped with the read and resolve stage completions
         // (batch-granular — the stages run per batch, not per event).
@@ -537,60 +593,6 @@ impl Collector {
         }
     }
 
-    /// Resolve a batch of records into ordered events. With more than
-    /// one resolver thread, the batch is split into contiguous chunks
-    /// fanned out to the pool; chunk results are reassembled in
-    /// sequence so the event stream stays changelog-index-ordered —
-    /// byte-identical framing to serial resolution.
-    fn resolve_batch(&mut self, records: Vec<ChangelogRecord>) -> (Vec<StandardEvent>, Vec<u64>) {
-        if self.resolver_threads > 1 && self.pool.is_none() {
-            self.pool = Some(ResolverPool::spawn(
-                self.resolver.clone(),
-                self.resolver_threads,
-                self.mdt.index(),
-            ));
-        }
-        let mut events = Vec::with_capacity(records.len());
-        let mut event_indices: Vec<u64> = Vec::with_capacity(records.len());
-        match &self.pool {
-            Some(pool) if records.len() > 1 => {
-                let job_tx = pool.job_tx.as_ref().expect("pool alive");
-                let chunk = records.len().div_ceil(self.resolver_threads);
-                let mut rest = records;
-                let mut n_chunks = 0;
-                while !rest.is_empty() {
-                    let tail = rest.split_off(chunk.min(rest.len()));
-                    job_tx
-                        .send(ResolveJob {
-                            seq: n_chunks,
-                            records: rest,
-                        })
-                        .expect("resolver pool alive");
-                    rest = tail;
-                    n_chunks += 1;
-                }
-                let mut chunks: Vec<Option<ResolvedChunk>> = (0..n_chunks).map(|_| None).collect();
-                for _ in 0..n_chunks {
-                    let done = pool.done_rx.recv().expect("resolver pool alive");
-                    let seq = done.seq;
-                    chunks[seq] = Some(done);
-                }
-                for chunk in chunks.into_iter().flatten() {
-                    events.extend(chunk.events);
-                    event_indices.extend(chunk.indices);
-                }
-            }
-            _ => {
-                for rec in &records {
-                    let produced = self.resolver.process_record(rec);
-                    event_indices.extend(std::iter::repeat_n(rec.index, produced.len()));
-                    events.extend(produced);
-                }
-            }
-        }
-        (events, event_indices)
-    }
-
     /// Drive `step` until the Changelog is empty (bounded by `cycles`).
     pub fn drain(&mut self, cycles: usize) -> Vec<StandardEvent> {
         let mut out = Vec::new();
@@ -606,53 +608,256 @@ impl Collector {
 }
 
 impl Resolver {
-    /// Resolve a FID through the cache (Algorithm 1 lines 13–17):
-    /// cache hit short-circuits; a miss invokes `fid2path` and stores
-    /// the mapping.
-    fn resolve_fid(&self, fid: Fid) -> Result<String, ()> {
-        if let Some(cache) = &self.cache {
-            if let Some(path) = cache.get(&fid) {
-                return Ok(path);
-            }
-        }
-        self.fid2path_calls.fetch_add(1, Ordering::Relaxed);
-        self.t_fid2path.inc();
-        let t0 = std::time::Instant::now();
-        // Transient MDS errors (injected or real) are retried with
-        // backoff; a permanent failure (deleted FID) falls through to
-        // Algorithm 1's parent-based reconstruction. Exhausting the
-        // retry budget degrades the same way — reconstruction, not
-        // loss.
-        let mut backoff = self.retry.backoff();
-        let resolved = loop {
-            match self.mdt.fid2path(fid) {
-                Err(FsError::Transient(_)) => match backoff.next() {
-                    Some(sleep) => {
-                        self.t_fid2path_retries.inc();
-                        std::thread::sleep(sleep);
-                    }
-                    None => break Err(()),
-                },
-                other => break other.map_err(|_| ()),
-            }
-        };
-        self.t_resolve_ns.record(t0.elapsed().as_nanos() as u64);
-        match resolved {
-            Ok(path) => {
-                if let Some(cache) = &self.cache {
-                    cache.insert(fid, path.clone());
-                }
-                Ok(path)
-            }
-            Err(()) => Err(()),
+    /// A resolver for `mdt`'s records. `telemetry` is the labelled
+    /// root its `fid2path_*` instruments (and the cache's) hang under.
+    pub(crate) fn new(
+        mdt: MdtHandle,
+        watch_root: String,
+        cache_size: usize,
+        penalty: CostModel,
+        telemetry: &fsmon_telemetry::Scope,
+    ) -> Resolver {
+        let scope = telemetry.scope("fid2path");
+        Resolver {
+            recheck_dirs: cache_size > 0 && mdt.fs().mdt_count() > 1,
+            checked: HashSet::new(),
+            checked_at: 0,
+            lookup: Arc::new(Lookup {
+                mdt,
+                retry: Retry::fast(),
+                penalty,
+                calls: AtomicU64::new(0),
+                t_calls: scope.counter("calls_total"),
+                t_retries: telemetry
+                    .scope("collector")
+                    .counter("fid2path_retries_total"),
+                t_resolve_ns: scope.histogram("resolve_ns"),
+            }),
+            watch_root,
+            cache: (cache_size > 0)
+                .then(|| ShardedLruCache::new(cache_size, CACHE_SHARDS).instrument(&scope)),
+            threads: 1,
+            pool: None,
+            prefetched: HashMap::new(),
+            events: 0,
+            parent_dir_removed: 0,
+            t_parent_joins: scope.counter("parent_joins_total"),
+            t_prefetch_fids: scope.histogram("prefetch_fids"),
+            t_cache_flushes: scope.counter("cache_flushes_total"),
         }
     }
 
-    /// Drop a FID's mapping once its object is gone.
-    fn invalidate(&self, fid: Fid) {
-        if let Some(cache) = &self.cache {
-            cache.remove(&fid);
+    /// `fid2path` invocations so far.
+    pub(crate) fn fid2path_calls(&self) -> u64 {
+        self.lookup.calls.load(Ordering::Relaxed)
+    }
+
+    /// Resolve a batch into ordered events plus the changelog index
+    /// behind each one: prefetch what the batch will miss, then run
+    /// Algorithm 1 over it serially.
+    fn resolve_batch(&mut self, records: &[ChangelogRecord]) -> (Vec<StandardEvent>, Vec<u64>) {
+        // A changelog is in time order: the last record is the newest.
+        self.admit(records.last().map_or(0, |rec| rec.time_ns));
+        self.prefetch(records);
+        let mut events = Vec::with_capacity(records.len());
+        let mut indices = Vec::with_capacity(records.len());
+        for rec in records {
+            let produced = self.process_record(rec);
+            indices.extend(std::iter::repeat_n(rec.index, produced.len()));
+            events.extend(produced);
         }
+        self.prefetched.clear();
+        (events, indices)
+    }
+
+    /// Probe the cache read-only, in changelog order, for the FIDs the
+    /// serial pass will miss — not counting those an earlier record of
+    /// the batch will have cached by then — and look them up on the
+    /// pool so their waits overlap.
+    fn prefetch(&mut self, records: &[ChangelogRecord]) {
+        let mut need = Vec::new();
+        if self.threads > 1 {
+            let mut seen = HashSet::new();
+            for rec in records {
+                let named = !rec.parent_fid.is_null();
+                let first = if named {
+                    rec.parent_fid
+                } else {
+                    rec.target_fid
+                };
+                let renamed = rec.rename.filter(|_| rec.kind.is_rename());
+                for (fid, dir) in
+                    std::iter::once((first, named)).chain(renamed.map(|r| (r.new_fid, false)))
+                {
+                    // Without a cache every event pays its own call.
+                    let hit = |c: &ShardedLruCache<Fid, String>| {
+                        c.contains(&fid) && (!dir || self.trusts_dir(fid))
+                    };
+                    if self
+                        .cache
+                        .as_ref()
+                        .is_none_or(|c| seen.insert(fid) && !hit(c))
+                    {
+                        need.push(fid);
+                    }
+                }
+                if maps_target(rec) {
+                    seen.insert(rec.target_fid);
+                }
+            }
+        }
+        // A single miss gains nothing from the hand-off: the serial
+        // pass looks it up inline.
+        if need.len() < 2 {
+            need.clear();
+        }
+        self.t_prefetch_fids.record(need.len() as u64);
+        if !need.is_empty() {
+            self.pool
+                .get_or_insert_with(|| ResolverPool::spawn(&self.lookup, self.threads))
+                .lookup_all(&need, &mut self.prefetched);
+        }
+    }
+
+    /// Resolve a FID (Algorithm 1 lines 13–17): the cache, then this
+    /// batch's prefetched lookups, then `fid2path` inline. A lookup
+    /// that succeeds is cached.
+    fn resolve_fid(&mut self, fid: Fid) -> Resolved {
+        if let Some(path) = self.cached(fid) {
+            return Ok(path);
+        }
+        let resolved = self
+            .prefetched
+            .get_mut(&fid)
+            .and_then(Vec::pop)
+            .unwrap_or_else(|| self.lookup.fid2path(fid));
+        if let Ok(path) = &resolved {
+            self.remember(fid, path);
+        }
+        resolved
+    }
+
+    fn cached(&self, fid: Fid) -> Option<String> {
+        self.cache.as_ref()?.get(&fid)
+    }
+
+    fn remember(&self, fid: Fid, path: &str) {
+        if let Some(cache) = &self.cache {
+            cache.insert(fid, path.to_string());
+        }
+    }
+
+    /// Open the way for records stamped up to `newest_ns`. A directory
+    /// path checked at time T reflects every rename before T, so it
+    /// serves records stamped up to T and no later ones: the first
+    /// newer record ends the epoch and every directory is checked
+    /// again on its next use. A drained backlog is one epoch; a live
+    /// collector pays one lookup per parent directory per batch.
+    fn admit(&mut self, newest_ns: u64) {
+        if self.recheck_dirs && newest_ns > self.checked_at {
+            self.checked.clear();
+            // Read before the epoch's first lookup, after its records.
+            self.checked_at = self.lookup.mdt.fs().clock().now_ns();
+        }
+    }
+
+    fn trusts_dir(&self, fid: Fid) -> bool {
+        !self.recheck_dirs || fid == Fid::ROOT || self.checked.contains(&fid)
+    }
+
+    /// Resolve the parent directory a record names. A cached path this
+    /// epoch has not checked yet is looked up again; if the directory
+    /// turns out to have moved, so have its cached descendants.
+    fn resolve_dir(&mut self, fid: Fid) -> Resolved {
+        if self.trusts_dir(fid) {
+            return self.resolve_fid(fid);
+        }
+        let was = self.cache.as_ref().and_then(|cache| cache.remove(&fid));
+        let mut resolved = self.resolve_fid(fid);
+        match (&resolved, was) {
+            (Ok(now), Some(was)) if *now != was => self.rebase(&was, now),
+            // The directory is gone: nothing can rename it any more,
+            // and the mapping cached while it lived is its path.
+            (Err(()), Some(was)) => {
+                self.remember(fid, &was);
+                resolved = Ok(was);
+            }
+            _ => {}
+        }
+        self.mark_checked(fid);
+        resolved
+    }
+
+    fn mark_checked(&mut self, dir: Fid) {
+        if self.recheck_dirs {
+            // More marks than cache entries: most are evicted by now.
+            if self.checked.len() >= self.cache.as_ref().map_or(0, |c| c.capacity()) {
+                self.checked.clear();
+            }
+            self.checked.insert(dir);
+        }
+    }
+
+    /// A directory moved from `old` to `new`: every cached path below
+    /// `old` is stale. A live FID's entry is dropped — its next lookup
+    /// tells the truth — but for a dead FID the cached mapping is the
+    /// only source of its path, so it moves to the new prefix. One
+    /// pass over the cache on a rare event, instead of a prefix index.
+    fn rebase(&self, old: &str, new: &str) {
+        let Some(cache) = &self.cache else { return };
+        let fs = self.lookup.mdt.fs();
+        let below = format!("{old}/");
+        let mut moved = 0;
+        let dropped = cache.retain(|fid, path| {
+            if path.starts_with(&below) {
+                if fs.attrs_of_fid(*fid).is_some() {
+                    return false;
+                }
+                path.replace_range(..old.len(), new);
+                moved += 1;
+            }
+            true
+        });
+        if dropped + moved > 0 {
+            self.t_cache_flushes.inc();
+        }
+    }
+
+    /// The path a record names, directory-first: `path(parent) ⊕ name`
+    /// when the record carries its parent — the lookup a miss pays for
+    /// is then a directory's, which its other entries reuse — and the
+    /// target's own mapping otherwise (MTIME and friends) or when the
+    /// parent is gone. `Err`: neither resolves.
+    fn path_of(&mut self, rec: &ChangelogRecord) -> Resolved {
+        if !rec.parent_fid.is_null() {
+            if let Ok(dir) = self.resolve_dir(rec.parent_fid) {
+                self.t_parent_joins.inc();
+                let path = join(&dir, &rec.target_name);
+                if maps_target(rec) {
+                    self.remember(rec.target_fid, &path);
+                    if rec.kind == ChangelogKind::Mkdir {
+                        // Built from a checked path: as good as one.
+                        self.mark_checked(rec.target_fid);
+                    }
+                }
+                return Ok(path);
+            }
+            // UNLNK/RMDIR/RENME: `fid2path` on the target fails by
+            // construction, so only a mapping cached earlier can help.
+            if rec.kind.deletes_target() || rec.kind.is_rename() {
+                return self.cached(rec.target_fid).ok_or(());
+            }
+        }
+        self.resolve_fid(rec.target_fid)
+    }
+
+    fn event(&self, rec: &ChangelogRecord, kind: EventKind, path: String) -> StandardEvent {
+        let mut ev = StandardEvent::new(kind, self.watch_root.clone(), path)
+            .with_source(MonitorSource::LustreChangelog)
+            .with_timestamp(rec.time_ns)
+            .with_mdt(rec.mdt_index);
+        ev.is_dir = rec.kind.to_standard().1;
+        ev
     }
 
     /// Attach size/owner metadata from an MDS-local stat of the FID —
@@ -660,7 +865,7 @@ impl Resolver {
     /// Robinhood enriches changelog records before indexing. Removal
     /// events and already-deleted FIDs stay unenriched (`None`).
     fn enrich(&self, ev: &mut StandardEvent, fid: Fid) {
-        if let Some(attrs) = self.mdt.fs().attrs_of_fid(fid) {
+        if let Some(attrs) = self.lookup.mdt.fs().attrs_of_fid(fid) {
             if !attrs.is_dir {
                 ev.size = Some(attrs.size);
             }
@@ -669,120 +874,94 @@ impl Resolver {
     }
 
     /// Algorithm 1's `processEvent`: one Changelog record → one or two
-    /// standardized events. Thread-safe — concurrent workers share the
-    /// sharded cache; fallback reconstruction makes every interleaving
-    /// produce the same paths.
-    fn process_record(&self, rec: &ChangelogRecord) -> Vec<StandardEvent> {
-        let (kind, type_is_dir) = rec.kind.to_standard();
-        let mdt = rec.mdt_index;
-        let watch_root = self.watch_root.clone();
-        let base = move |kind: EventKind, path: String| {
-            let mut ev = StandardEvent::new(kind, watch_root.clone(), path)
-                .with_source(MonitorSource::LustreChangelog)
-                .with_timestamp(rec.time_ns)
-                .with_mdt(mdt);
-            ev.is_dir = type_is_dir;
-            ev
-        };
+    /// standardized events.
+    pub(crate) fn process_record(&mut self, rec: &ChangelogRecord) -> Vec<StandardEvent> {
+        let kind = rec.kind.to_standard().0;
+        self.admit(rec.time_ns);
 
         if rec.kind.is_rename() {
-            // RENME: resolve old and new FIDs (Algorithm 1 lines 27–38).
+            // RENME (Algorithm 1 lines 27–38). The record's parent and
+            // name are the old path's; the old FID is already re-keyed.
             let (new_fid, old_fid) = match rec.rename {
                 Some(pair) => (pair.new_fid, pair.old_fid),
                 None => (rec.target_fid, rec.target_fid),
             };
-            // The old FID no longer resolves once the rename has been
-            // applied; the cached mapping from its earlier events (or
-            // the record's own parent + old name) recovers the path.
-            let old_path = match self.resolve_fid(old_fid) {
-                Ok(p) => p,
-                Err(()) => match self.resolve_fid(rec.parent_fid) {
-                    Ok(dir) => join(&dir, &rec.target_name),
-                    Err(()) => format!("/{}", rec.target_name),
-                },
-            };
-            self.invalidate(old_fid);
-            let new_path = match self.resolve_fid(new_fid) {
-                Ok(p) => p,
-                Err(()) => rec
-                    .rename_target_name
-                    .as_ref()
-                    .map(|n| join(&parent_of(&old_path), n))
-                    .unwrap_or_else(|| old_path.clone()),
-            };
-            self.events.fetch_add(2, Ordering::Relaxed);
-            let from = base(EventKind::MovedFrom, old_path.clone());
-            let mut to = base(EventKind::MovedTo, new_path);
+            let resolved_old = self.path_of(rec);
+            let old_path = resolved_old
+                .clone()
+                .unwrap_or_else(|()| format!("/{}", rec.target_name));
+            if let Some(cache) = &self.cache {
+                cache.remove(&old_fid);
+            }
+            // The new parent is not in the record. If the new FID is
+            // gone as well (renamed again, deleted), assume the rename
+            // stayed within the directory.
+            let new_path = self.resolve_fid(new_fid).unwrap_or_else(|()| {
+                let guess = match &rec.rename_target_name {
+                    Some(name) => join(&parent_of(&old_path), name),
+                    None => old_path.clone(),
+                };
+                self.remember(new_fid, &guess);
+                guess
+            });
+            // A renamed directory leaves every cached descendant path
+            // stale; a target that is already gone may have been one.
+            // A guessed old path says nothing about what lies below it.
+            let attrs = self.lookup.mdt.fs().attrs_of_fid(new_fid);
+            if resolved_old.is_ok() && attrs.is_none_or(|a| a.is_dir) {
+                self.rebase(&old_path, &new_path);
+            }
+            self.events += 2;
+            let from = self.event(rec, EventKind::MovedFrom, old_path.clone());
+            let mut to = self.event(rec, EventKind::MovedTo, new_path);
             to.old_path = Some(old_path);
             self.enrich(&mut to, new_fid);
             return vec![from, to];
         }
 
         if rec.kind.deletes_target() {
-            // UNLNK/RMDIR: the target FID is already gone. The cache may
-            // still hold its mapping from the creation; otherwise
-            // resolve the parent and append the record's name
-            // (Algorithm 1 lines 20–26). If the parent fails too, the
-            // event becomes ParentDirectoryRemoved (line 41).
-            let path = {
-                let cached = self
-                    .cache
-                    .as_ref()
-                    .and_then(|cache| cache.get(&rec.target_fid));
-                match cached {
-                    Some(p) => p,
-                    None => {
-                        // fid2path on the deleted target fails by
-                        // construction; charge it like the paper's
-                        // pipeline does, then fall back to the parent.
-                        self.fid2path_calls.fetch_add(1, Ordering::Relaxed);
-                        self.t_fid2path.inc();
-                        match self.mdt.fid2path(rec.target_fid) {
-                            Ok(p) => p,
-                            Err(_) => match self.resolve_fid(rec.parent_fid) {
-                                Ok(dir) => join(&dir, &rec.target_name),
-                                Err(()) => {
-                                    self.parent_dir_removed.fetch_add(1, Ordering::Relaxed);
-                                    self.events.fetch_add(1, Ordering::Relaxed);
-                                    self.invalidate(rec.target_fid);
-                                    return vec![base(
-                                        EventKind::ParentDirectoryRemoved,
-                                        format!("/{}", rec.target_name),
-                                    )];
-                                }
-                            },
-                        }
-                    }
+            // UNLNK/RMDIR (Algorithm 1 lines 20–26): parent + name is
+            // the unlinked name's own path even when other hard links
+            // survive. With the parent gone too, the event becomes
+            // ParentDirectoryRemoved (line 41).
+            let ev = match self.path_of(rec) {
+                Ok(path) => self.event(rec, kind, path),
+                Err(()) => {
+                    self.parent_dir_removed += 1;
+                    let orphan = format!("/{}", rec.target_name);
+                    self.event(rec, EventKind::ParentDirectoryRemoved, orphan)
                 }
             };
-            self.invalidate(rec.target_fid);
-            self.events.fetch_add(1, Ordering::Relaxed);
-            return vec![base(kind, path)];
+            if let Some(cache) = &self.cache {
+                cache.remove(&rec.target_fid);
+            }
+            self.events += 1;
+            return vec![ev];
         }
 
-        // Every other record type resolves its target FID directly.
-        let path = match self.resolve_fid(rec.target_fid) {
-            Ok(p) => p,
-            Err(()) => {
-                let reconstructed = match self.resolve_fid(rec.parent_fid) {
-                    Ok(dir) => join(&dir, &rec.target_name),
-                    Err(()) => format!("/{}", rec.target_name),
-                };
-                // The record's own parent + name is authoritative as of
-                // event time; cache it so later records on the same
-                // (now-deleted) FID — e.g. an MTIME carrying no parent —
-                // still resolve to the right path.
-                if let Some(cache) = &self.cache {
-                    cache.insert(rec.target_fid, reconstructed.clone());
-                }
-                reconstructed
-            }
-        };
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let mut ev = base(kind, path);
+        let path = self.path_of(rec).unwrap_or_else(|()| {
+            // Nothing resolves. Cache the guess so later parent-less
+            // records on the same dead FID agree with this one.
+            let guess = format!("/{}", rec.target_name);
+            self.remember(rec.target_fid, &guess);
+            guess
+        });
+        self.events += 1;
+        let mut ev = self.event(rec, kind, path);
         self.enrich(&mut ev, rec.target_fid);
         vec![ev]
     }
+}
+
+/// Whether `parent ⊕ name` is the mapping to cache for the record's
+/// target: the record names its parent and leaves the target alive
+/// under that name. HLINK does not qualify — a new alias must not
+/// replace the name `fid2path` reports.
+fn maps_target(rec: &ChangelogRecord) -> bool {
+    !rec.parent_fid.is_null()
+        && !rec.kind.deletes_target()
+        && !rec.kind.is_rename()
+        && rec.kind != ChangelogKind::Hlink
 }
 
 fn join(dir: &str, name: &str) -> String {
@@ -879,16 +1058,188 @@ mod tests {
     }
 
     #[test]
-    fn unlink_without_cache_falls_back_to_parent() {
+    fn unlink_without_cache_costs_one_parent_lookup() {
         let fs = LustreFs::new(LustreConfig::small());
         let mut c = collector(&fs, 0); // cache disabled
         fs.client().mkdir("/dir").unwrap();
         fs.client().create("/dir/f").unwrap();
         c.drain(10);
+        let calls_before = c.stats().fid2path_calls;
         fs.client().unlink("/dir/f").unwrap();
         let events = c.drain(10);
         assert_eq!(events[0].kind, EventKind::Delete);
         assert_eq!(events[0].path, "/dir/f", "parent dir + record name");
+        assert_eq!(
+            c.stats().fid2path_calls,
+            calls_before + 1,
+            "no doomed lookup of the deleted target"
+        );
+    }
+
+    #[test]
+    fn unlink_of_a_hard_link_reports_that_name() {
+        let fs = LustreFs::new(LustreConfig::small());
+        let mut c = collector(&fs, 100);
+        let client = fs.client();
+        client.mkdir("/d").unwrap();
+        client.create("/d/f").unwrap();
+        client.link("/d/f", "/h").unwrap();
+        c.drain(10); // the FID is cached under its first name
+        client.unlink("/h").unwrap();
+        client.write("/d/f", 0, 8).unwrap();
+        let events = c.drain(10);
+        assert_eq!(events[0].kind, EventKind::Delete);
+        assert_eq!(events[0].path, "/h", "not the surviving link's path");
+        assert_eq!(events[1].kind, EventKind::Modify);
+        assert_eq!(events[1].path, "/d/f");
+    }
+
+    #[test]
+    fn directory_rename_flushes_stale_descendant_paths() {
+        let fs = LustreFs::new(LustreConfig::small());
+        let mut c = collector(&fs, 100);
+        let client = fs.client();
+        client.mkdir_all("/a/sub").unwrap();
+        client.mkdir("/other").unwrap();
+        client.create("/a/x").unwrap();
+        client.create("/a/sub/y").unwrap();
+        client.create("/other/o").unwrap();
+        c.drain(10); // /a, /a/sub, /other, x, y and o are all cached
+        let flushes_before = c.resolver.t_cache_flushes.get();
+        client.rename("/a", "/b").unwrap();
+        client.write("/b/x", 0, 8).unwrap();
+        client.create("/b/z").unwrap();
+        client.write("/b/sub/y", 0, 8).unwrap();
+        client.create("/b/sub/w").unwrap();
+        let events = c.drain(10);
+        let paths: Vec<&str> = events.iter().map(|e| e.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            ["/a", "/b", "/b/x", "/b/z", "/b/sub/y", "/b/sub/w"],
+            "every record under the renamed directory reports the new prefix"
+        );
+        // (The counter is per MDT label, shared with other tests.)
+        assert!(c.resolver.t_cache_flushes.get() > flushes_before);
+        // Only the subtree went: what lies outside it is still cached,
+        // and a file rename drops one mapping and scans nothing away.
+        let calls_before = c.stats().fid2path_calls;
+        client.rename("/b/z", "/b/zz").unwrap();
+        client.create("/b/sub/v").unwrap();
+        client.write("/other/o", 0, 8).unwrap();
+        client.create("/other/p").unwrap();
+        let events = c.drain(10);
+        let paths: Vec<&str> = events.iter().map(|e| e.path.as_str()).collect();
+        assert_eq!(paths, ["/b/z", "/b/zz", "/b/sub/v", "/other/o", "/other/p"]);
+        assert_eq!(
+            c.stats().fid2path_calls,
+            calls_before + 1,
+            "only the renamed file's new FID is looked up"
+        );
+    }
+
+    #[test]
+    fn directory_rename_keeps_the_paths_of_dead_fids() {
+        // A backlog: everything below happened before the first step,
+        // so `f` and `g` are gone and the cache is the only source of
+        // their paths. Renaming an unrelated directory must not lose
+        // `/d/f`; renaming `/x` must carry `g` along to `/y/g`.
+        let fs = LustreFs::new(LustreConfig::small());
+        let mut c = collector(&fs, 100);
+        let client = fs.client();
+        client.mkdir("/d").unwrap();
+        client.mkdir("/x").unwrap();
+        client.create("/d/f").unwrap();
+        client.create("/x/g").unwrap();
+        client.rename("/x", "/y").unwrap();
+        client.write("/d/f", 0, 8).unwrap();
+        client.unlink("/d/f").unwrap();
+        client.write("/y/g", 0, 8).unwrap();
+        client.unlink("/y/g").unwrap();
+        let events = c.drain(10);
+        let got: Vec<(EventKind, &str)> =
+            events.iter().map(|e| (e.kind, e.path.as_str())).collect();
+        assert_eq!(
+            got[4..],
+            [
+                (EventKind::MovedFrom, "/x"),
+                (EventKind::MovedTo, "/y"),
+                (EventKind::Modify, "/d/f"),
+                (EventKind::Delete, "/d/f"),
+                (EventKind::Modify, "/y/g"),
+                (EventKind::Delete, "/y/g"),
+            ]
+        );
+    }
+
+    #[test]
+    fn file_renames_in_a_backlog_flush_nothing() {
+        // tmp -> final, then final unlinked, all before collection: the
+        // rename's target is gone, so it *may* have been a directory.
+        // That must not cost the cached `/d` its entry.
+        let fs = LustreFs::new(LustreConfig::small());
+        let mut c = collector(&fs, 100);
+        let client = fs.client();
+        client.mkdir("/d").unwrap();
+        c.drain(10);
+        let before = c.stats().fid2path_calls;
+        for i in 0..5 {
+            client.create(&format!("/d/tmp{i}")).unwrap();
+            client
+                .rename(&format!("/d/tmp{i}"), &format!("/d/final{i}"))
+                .unwrap();
+            client.unlink(&format!("/d/final{i}")).unwrap();
+        }
+        let events = c.drain(10);
+        assert_eq!(events.len(), 20);
+        assert_eq!(events[18].path, "/d/final4");
+        assert_eq!(events[19].path, "/d/final4");
+        assert_eq!(
+            c.stats().fid2path_calls,
+            before + 5,
+            "the five vanished targets; `/d` stays cached throughout"
+        );
+    }
+
+    #[test]
+    fn directory_renamed_on_another_mdt_is_rechecked() {
+        // DNE: the RENME of `/t0` is logged on the root's MDT, so the
+        // collector of the MDT holding `/t0/s` never reads it. The
+        // cached `s -> /t0/s` must not outlive the rename.
+        let fs = LustreFs::new(LustreConfig::small_dne(2));
+        let client = fs.client();
+        client.mkdir("/t0").unwrap();
+        let sub = (0..)
+            .map(|i| format!("s{i}"))
+            .find(|name| {
+                client.mkdir(&format!("/t0/{name}")).unwrap();
+                fs.mdt_of(&format!("/t0/{name}")).unwrap() == 1
+            })
+            .unwrap();
+        let mut c = Collector::new(fs.mdt(1), "/mnt/lustre", 100, 1024, None);
+        client.create(&format!("/t0/{sub}/f")).unwrap();
+        let events = c.drain(10);
+        assert_eq!(events.last().unwrap().path, format!("/t0/{sub}/f"));
+        // Same epoch, same directory: the cached path serves.
+        let calls = c.stats().fid2path_calls;
+        client.rename("/t0", "/renamed").unwrap();
+        client.create(&format!("/renamed/{sub}/w")).unwrap();
+        client.write(&format!("/renamed/{sub}/f"), 0, 8).unwrap();
+        client.unlink(&format!("/renamed/{sub}/w")).unwrap();
+        let paths: Vec<String> = c.drain(10).into_iter().map(|e| e.path).collect();
+        assert_eq!(
+            paths,
+            [
+                format!("/renamed/{sub}/w"),
+                format!("/renamed/{sub}/f"),
+                format!("/renamed/{sub}/w"),
+            ],
+            "new entries, and the cached file below, follow the rename"
+        );
+        assert_eq!(
+            c.stats().fid2path_calls,
+            calls + 2,
+            "one re-check of the directory, one lookup of the dropped `f`"
+        );
     }
 
     #[test]
@@ -958,9 +1309,12 @@ mod tests {
         }
         assert_eq!(events.len(), 300);
         let s = with_cache.stats();
-        // create misses, modify + delete hit: 1 call per 3 records.
-        assert_eq!(s.fid2path_calls, 100);
-        assert_eq!(s.cache_hits, 200);
+        // Directory-first: the one lookup is the root's, on the first
+        // CREAT. Every later CREAT and UNLNK joins the cached parent
+        // and every MTIME hits the mapping its CREAT left behind.
+        assert_eq!(s.fid2path_calls, 1);
+        assert_eq!(s.cache_misses, 1);
+        assert_eq!(s.cache_hits, 299);
     }
 
     #[test]
@@ -1006,9 +1360,8 @@ mod tests {
 
     #[test]
     fn parallel_resolution_preserves_changelog_order() {
-        // Satellite ordering test: with a 4-thread resolver pool, a
-        // large batch must come back in changelog-index order — the
-        // chunk fan-out/reassembly is invisible in the event stream.
+        // With 4 lookups in flight a large batch still comes out in
+        // changelog-index order: only lookups leave the step thread.
         let fs = LustreFs::new(LustreConfig::small());
         let client = fs.client();
         let mut serial = collector(&fs, 1000);
@@ -1036,25 +1389,107 @@ mod tests {
     }
 
     #[test]
-    fn parallel_resolution_counts_match_serial_for_read_only_batches() {
-        // Stats contract under the pool: a batch with no intra-batch
-        // cache dependencies produces identical fid2path accounting.
+    fn parallel_resolution_counts_match_serial() {
+        // Stats contract under the pool: with a cache, a FID is looked
+        // up once per batch however many records need it, so the
+        // accounting equals serial resolution's.
         let fs = LustreFs::new(LustreConfig::small());
         let client = fs.client();
-        let mut c =
+        let mut serial = collector(&fs, 1000);
+        let mut parallel =
             Collector::new(fs.mdt(0), "/mnt/lustre", 1000, 1024, None).with_resolver_threads(4);
-        for i in 0..100 {
-            client.create(&format!("/f{i}")).unwrap();
+        for d in 0..4 {
+            client.mkdir(&format!("/d{d}")).unwrap();
+            for i in 0..25 {
+                client.create(&format!("/d{d}/f{i}")).unwrap();
+            }
         }
-        c.drain(10); // creates cached
-        let calls_before = c.stats().fid2path_calls;
-        for i in 0..100 {
-            client.write(&format!("/f{i}"), 0, 8).unwrap();
+        for d in 0..4 {
+            for i in 0..25 {
+                client.write(&format!("/d{d}/f{i}"), 0, 8).unwrap();
+            }
         }
-        c.drain(10);
-        let s = c.stats();
-        assert_eq!(s.fid2path_calls, calls_before, "all MTIMEs hit the cache");
-        assert_eq!(s.cache_hits, 100);
+        assert_eq!(parallel.drain(10), serial.drain(10));
+        let (p, s) = (parallel.stats(), serial.stats());
+        assert_eq!(p.fid2path_calls, 1, "the root; /d0../d3 come from MKDIR");
+        assert_eq!(p.fid2path_calls, s.fid2path_calls);
+        assert_eq!(p.cache_hits, s.cache_hits);
+        assert_eq!(p.cache_misses, s.cache_misses);
+    }
+
+    #[test]
+    fn prefetch_overlaps_distinct_misses_and_keeps_the_serial_stream() {
+        // A cold cache and a batch of MTIMEs on 40 distinct files in 4
+        // directories: the CREATs were consumed by an earlier
+        // incarnation, so every MTIME misses. All 40 lookups go to the
+        // pool, and the stream equals inline resolution's.
+        let fs = LustreFs::new(LustreConfig::small());
+        let client = fs.client();
+        for d in 0..4 {
+            client.mkdir(&format!("/d{d}")).unwrap();
+            for i in 0..10 {
+                client.create(&format!("/d{d}/f{i}")).unwrap();
+            }
+        }
+        let cursor = fs.mdt(0).read_changelog(0, 1024).last().unwrap().index;
+        for d in 0..4 {
+            for i in 0..10 {
+                client.write(&format!("/d{d}/f{i}"), 0, 8).unwrap();
+            }
+        }
+        let mut serial = Collector::resume(fs.mdt(0), "/mnt/lustre", 1000, 1024, None, cursor);
+        let mut parallel = Collector::resume(fs.mdt(0), "/mnt/lustre", 1000, 1024, None, cursor)
+            .with_resolver_threads(4);
+        let prefetched_before = parallel.resolver.t_prefetch_fids.snapshot();
+        let events = parallel.drain(10);
+        assert_eq!(events.len(), 40);
+        assert_eq!(events, serial.drain(10));
+        assert_eq!(parallel.stats().fid2path_calls, 40);
+        assert_eq!(serial.stats().fid2path_calls, 40);
+        let prefetched = parallel
+            .resolver
+            .t_prefetch_fids
+            .snapshot()
+            .delta_from(&prefetched_before);
+        assert!(
+            prefetched.count() >= 1 && prefetched.mean() > 1.0,
+            "the pool was used"
+        );
+    }
+
+    #[test]
+    fn mtime_after_unlink_resolves_through_the_creat_of_its_batch() {
+        // The resolver-pool race that made tier-1 flaky: CREAT f /
+        // MTIME f / UNLNK f all applied before the collector's first
+        // step. The old pool split the batch [MKDIR, CREAT | MTIME,
+        // UNLNK] and ran the chunks concurrently, so the MTIME — which
+        // names no parent — looked its already-deleted FID up before
+        // the CREAT had cached it and came out as `/f`. The slow
+        // successful lookup (MKDIR's) against the instant failing one
+        // (MTIME's) made that interleaving certain.
+        let mut cfg = LustreConfig::small();
+        cfg.fid2path_cost = CostModel::WaitNs(20_000_000);
+        cfg.fid2path_miss_cost = CostModel::Free;
+        let fs = LustreFs::new(cfg);
+        let client = fs.client();
+        client.mkdir("/d").unwrap();
+        client.create("/d/f").unwrap();
+        client.write("/d/f", 0, 8).unwrap();
+        client.unlink("/d/f").unwrap();
+        let mut c =
+            Collector::new(fs.mdt(0), "/mnt/lustre", 100, 1024, None).with_resolver_threads(2);
+        let events = c.step();
+        let got: Vec<(EventKind, &str)> =
+            events.iter().map(|e| (e.kind, e.path.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                (EventKind::Create, "/d"),
+                (EventKind::Create, "/d/f"),
+                (EventKind::Modify, "/d/f"),
+                (EventKind::Delete, "/d/f"),
+            ]
+        );
     }
 
     #[test]

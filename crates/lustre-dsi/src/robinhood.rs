@@ -11,14 +11,18 @@
 //! 2. **Client-side processing** — `fid2path` runs from the client
 //!    (an RPC to the MDS) rather than on the MDS itself, so every
 //!    resolution carries a remote penalty.
+//!
+//! Everything else is shared: records go through the collector's own
+//! [`Resolver`], so the comparison isolates architecture, not
+//! resolution strategy.
 
-use fsmon_core::LruCache;
+use crate::collector::Resolver;
 use fsmon_events::StandardEvent;
 use fsmon_store::{EventStore, MemStore};
 use lustre_sim::changelog::ChangelogUser;
 use lustre_sim::clock::CostModel;
 use lustre_sim::namespace::MdtHandle;
-use lustre_sim::{Fid, LustreFs};
+use lustre_sim::LustreFs;
 use std::sync::Arc;
 
 /// Baseline configuration.
@@ -67,11 +71,12 @@ pub struct RobinhoodMonitor {
     users: Vec<ChangelogUser>,
     cursors: Vec<u64>,
     next_mdt: usize,
-    cache: Option<LruCache<Fid, String>>,
+    /// One client-side resolver (and path cache) for every MDS:
+    /// `fid2path` from a client is namespace-wide.
+    resolver: Resolver,
     config: RobinhoodConfig,
     db: Arc<dyn EventStore>,
     stats: RobinhoodStats,
-    watch_root: String,
 }
 
 impl RobinhoodMonitor {
@@ -85,11 +90,15 @@ impl RobinhoodMonitor {
         let users = mdts.iter().map(|m| m.register_user()).collect();
         let cursors = vec![0; mdts.len()];
         RobinhoodMonitor {
-            cache: if config.cache_size > 0 {
-                Some(LruCache::new(config.cache_size))
-            } else {
-                None
-            },
+            // A private registry: the baseline's lookups must not fold
+            // into the `fsmon_fid2path_*` series of a real collector.
+            resolver: Resolver::new(
+                fs.mdt(0),
+                watch_root.into(),
+                config.cache_size,
+                config.remote_fid2path_penalty,
+                &fsmon_telemetry::Registry::new().scope("robinhood"),
+            ),
             users,
             cursors,
             next_mdt: 0,
@@ -97,38 +106,21 @@ impl RobinhoodMonitor {
             db: Arc::new(MemStore::new()),
             stats: RobinhoodStats::default(),
             mdts,
-            watch_root: watch_root.into(),
         }
     }
 
     /// Counters so far.
     pub fn stats(&self) -> RobinhoodStats {
-        self.stats
+        RobinhoodStats {
+            events: self.resolver.events,
+            fid2path_calls: self.resolver.fid2path_calls(),
+            ..self.stats
+        }
     }
 
     /// The client-side database events are stored into.
     pub fn db(&self) -> &Arc<dyn EventStore> {
         &self.db
-    }
-
-    fn resolve_fid(&mut self, mdt: usize, fid: Fid) -> Result<String, ()> {
-        if let Some(cache) = &mut self.cache {
-            if let Some(path) = cache.get(&fid) {
-                return Ok(path);
-            }
-        }
-        self.stats.fid2path_calls += 1;
-        // Client-side processing: the tool cost plus the RPC penalty.
-        self.config.remote_fid2path_penalty.charge();
-        match self.mdts[mdt].fid2path(fid) {
-            Ok(path) => {
-                if let Some(cache) = &mut self.cache {
-                    cache.insert(fid, path.clone());
-                }
-                Ok(path)
-            }
-            Err(_) => Err(()),
-        }
     }
 
     /// Poll the next MDS in rotation, process its batch client-side,
@@ -145,7 +137,7 @@ impl RobinhoodMonitor {
         }
         let mut events = Vec::with_capacity(records.len());
         for rec in &records {
-            events.extend(self.process_record(mdt, rec));
+            events.extend(self.resolver.process_record(rec));
         }
         self.stats.records += records.len() as u64;
         self.cursors[mdt] = records.last().expect("non-empty").index;
@@ -154,67 +146,6 @@ impl RobinhoodMonitor {
             let _ = self.db.append(ev);
         }
         events
-    }
-
-    fn process_record(
-        &mut self,
-        mdt: usize,
-        rec: &lustre_sim::ChangelogRecord,
-    ) -> Vec<StandardEvent> {
-        use fsmon_events::{EventKind, MonitorSource};
-        let (kind, is_dir) = rec.kind.to_standard();
-        let watch_root = self.watch_root.clone();
-        let mk = move |kind: EventKind, path: String| {
-            let mut ev = StandardEvent::new(kind, watch_root.clone(), path)
-                .with_source(MonitorSource::LustreChangelog)
-                .with_timestamp(rec.time_ns)
-                .with_mdt(rec.mdt_index);
-            ev.is_dir = is_dir;
-            ev
-        };
-        if rec.kind.is_rename() {
-            let (new_fid, old_fid) = match rec.rename {
-                Some(p) => (p.new_fid, p.old_fid),
-                None => (rec.target_fid, rec.target_fid),
-            };
-            let old_path = self
-                .resolve_fid(mdt, old_fid)
-                .or_else(|_| {
-                    self.resolve_fid(mdt, rec.parent_fid)
-                        .map(|d| join(&d, &rec.target_name))
-                })
-                .unwrap_or_else(|_| format!("/{}", rec.target_name));
-            let new_path = self
-                .resolve_fid(mdt, new_fid)
-                .unwrap_or_else(|_| old_path.clone());
-            self.stats.events += 2;
-            let from = mk(EventKind::MovedFrom, old_path.clone());
-            let mut to = mk(EventKind::MovedTo, new_path);
-            to.old_path = Some(old_path);
-            return vec![from, to];
-        }
-        let path = if rec.kind.deletes_target() {
-            let cached = self.cache.as_mut().and_then(|c| c.get(&rec.target_fid));
-            match cached {
-                Some(p) => p,
-                None => self
-                    .resolve_fid(mdt, rec.parent_fid)
-                    .map(|d| join(&d, &rec.target_name))
-                    .unwrap_or_else(|_| format!("/{}", rec.target_name)),
-            }
-        } else {
-            self.resolve_fid(mdt, rec.target_fid)
-                .or_else(|_| {
-                    self.resolve_fid(mdt, rec.parent_fid)
-                        .map(|d| join(&d, &rec.target_name))
-                })
-                .unwrap_or_else(|_| format!("/{}", rec.target_name))
-        };
-        if let (true, Some(cache)) = (rec.kind.deletes_target(), self.cache.as_mut()) {
-            cache.remove(&rec.target_fid);
-        }
-        self.stats.events += 1;
-        vec![mk(kind, path)]
     }
 
     /// Poll every MDS once; returns total events collected this round.
@@ -235,14 +166,6 @@ impl RobinhoodMonitor {
             }
         }
         out
-    }
-}
-
-fn join(dir: &str, name: &str) -> String {
-    if dir == "/" {
-        format!("/{name}")
-    } else {
-        format!("{dir}/{name}")
     }
 }
 

@@ -769,7 +769,18 @@ impl LustreFs {
             node.parent = new_parent_fid;
             node.name = new_name.clone();
             let is_dir = node.ftype == FileType::Directory;
+            let other_links = node.nlink > 1 && !is_dir;
             inodes.insert(new_fid, node);
+            // The file's other hard links follow it to the new FID.
+            if other_links {
+                for dir in inodes.values_mut() {
+                    for linked in dir.children.iter_mut().flat_map(|c| c.values_mut()) {
+                        if *linked == old_fid {
+                            *linked = new_fid;
+                        }
+                    }
+                }
+            }
             // Children of a renamed directory keep pointing at it via the
             // new FID.
             if is_dir {
@@ -1267,6 +1278,18 @@ mod tests {
         assert!(fs.fid2path(fid).is_ok());
         fs.unlink("/b").unwrap();
         assert!(fs.fid2path(fid).is_err());
+    }
+
+    #[test]
+    fn rename_carries_the_other_hard_links_to_the_new_fid() {
+        let fs = fs();
+        fs.create("/a").unwrap();
+        fs.hardlink("/a", "/b").unwrap();
+        let new_fid = fs.rename("/a", "/c").unwrap();
+        assert_eq!(fs.resolve("/b").unwrap(), new_fid);
+        fs.unlink("/b").unwrap();
+        fs.unlink("/c").unwrap();
+        assert!(fs.fid2path(new_fid).is_err());
     }
 
     #[test]

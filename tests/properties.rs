@@ -223,6 +223,57 @@ proptest! {
     }
 
     #[test]
+    fn resolver_pool_width_never_changes_the_event_stream(
+        ops in prop::collection::vec((0u8..7, 0usize..24, 0usize..24), 1..120),
+        cache in prop::sample::select(vec![0usize, 3, 64]),
+        batch in prop::sample::select(vec![2usize, 7, 1024]),
+        mdts in prop::sample::select(vec![1u16, 2]),
+    ) {
+        // A random namespace script, fully applied before any collector
+        // steps — so records outlive their FIDs, the case where the
+        // cache is the only source of a path — must resolve to exactly
+        // the events of `resolver_threads = 1` for every pool width, on
+        // every MDT (with two, cached directories are re-checked).
+        let fs = LustreFs::new(LustreConfig::small_dne(mdts));
+        let client = fs.client();
+        let widths = [1usize, 2, 4, 8];
+        let mut collectors: Vec<Collector> = (0..mdts)
+            .flat_map(|mdt| widths.map(|t| (mdt, t)))
+            .map(|(mdt, t)| {
+                Collector::new(fs.mdt(mdt), "/mnt/lustre", cache, batch, None)
+                    .with_resolver_threads(t)
+            })
+            .collect();
+        let dir = |n: usize| ["/a", "/b", "/a/a", "/a/b", "/b/a", "/b/b"][n % 6];
+        let file = |n: usize| format!("{}/f{}", dir(n), n / 6);
+        let any = |n: usize| if n.is_multiple_of(4) { dir(n / 4).to_string() } else { file(n) };
+        for d in ["/a", "/b", "/a/a"] {
+            client.mkdir(d).unwrap();
+        }
+        // Most scripts ask for something the namespace cannot do just
+        // then (unlink of a missing file, ...): those ops emit nothing.
+        for (op, a, b) in ops {
+            let _ = match op {
+                0 => client.mkdir(dir(a)),
+                1 => client.create(&file(a)),
+                2 => client.write(&file(a), 0, 1 + b as u64),
+                3 => client.rename(&any(a), &any(b)),
+                4 => client.link(&file(a), &file(b)),
+                5 => client.unlink(&file(a)),
+                _ => client.rmdir(dir(a)),
+            };
+        }
+        let streams: Vec<Vec<StandardEvent>> =
+            collectors.iter_mut().map(|c| c.drain(10_000)).collect();
+        prop_assert!(streams.iter().step_by(widths.len()).map(Vec::len).sum::<usize>() >= 3);
+        for per_mdt in streams.chunks(widths.len()) {
+            for (width, stream) in widths.iter().zip(per_mdt).skip(1) {
+                prop_assert_eq!(stream, &per_mdt[0], "resolver_threads = {}", width);
+            }
+        }
+    }
+
+    #[test]
     fn fid_display_parse_roundtrip(seq in any::<u64>(), oid in any::<u32>(), ver in any::<u32>()) {
         let fid = Fid::new(seq, oid, ver);
         prop_assert_eq!(Fid::parse(&fid.to_string()), Some(fid));

@@ -63,6 +63,16 @@ fn counters_conserve_across_the_pipeline() {
     assert!(hits + misses > 0, "cache saw traffic");
     // Every miss invokes the tool; direct (uncached) calls may add more.
     assert!(calls >= misses, "calls {calls} vs misses {misses}");
+    // Directory-first: each CREAT is one cache probe for its parent and
+    // one join of its name onto the result; only the root is looked up.
+    assert_eq!(delta.counter("fsmon_fid2path_parent_joins_total"), n);
+    assert_eq!(hits + misses, n);
+    assert_eq!(calls, 1);
+    // One prefetch sample per collected batch, none of which had two
+    // misses to overlap.
+    let prefetch = delta.histogram("fsmon_fid2path_prefetch_fids").unwrap();
+    assert!(prefetch.count() > 0);
+    assert_eq!(prefetch.quantile(1.0), 0);
 
     // Latency histograms recorded matching activity.
     let read_ns = delta.histogram("fsmon_collector_read_ns").unwrap();
