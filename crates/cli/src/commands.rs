@@ -776,9 +776,10 @@ fn write_stats_summary(snap: &fsmon_telemetry::Snapshot, out: &mut dyn Write) {
     let misses = snap.counter("fsmon_fid2path_misses_total");
     let _ = writeln!(
         out,
-        "collector : {} records, {} events",
+        "collector : {} records, {} events, {} idle wake-ups",
         snap.counter("fsmon_collector_records_total"),
         snap.counter("fsmon_collector_events_total"),
+        snap.counter("fsmon_collector_idle_wakeups_total"),
     );
     let _ = writeln!(
         out,
@@ -841,10 +842,11 @@ fn write_stats_summary(snap: &fsmon_telemetry::Snapshot, out: &mut dyn Write) {
     }
     let _ = writeln!(
         out,
-        "consumer  : {} delivered, {} filtered, {} dropped",
+        "consumer  : {} delivered, {} filtered, {} dropped, {} wait timeouts",
         snap.counter("fsmon_consumer_delivered_total"),
         snap.counter("fsmon_consumer_filtered_total"),
         snap.counter("fsmon_consumer_dropped_total"),
+        snap.counter("fsmon_consumer_wait_timeouts_total"),
     );
     write_index_summary(snap, out);
     let _ = writeln!(
@@ -1550,18 +1552,20 @@ fn top(
     monitor.wait_events(expected, Duration::from_secs(60));
     drain_consumer(&monitor, expected);
 
-    // Fold every collector's telemetry into the fleet view. Snapshots
-    // travel the same mq path as events, so give the aggregator's demux
-    // a moment to ingest one from each MDT.
+    // The fleet view settles by itself: each collector publishes its
+    // last snapshot when it finds its changelog quiet, and snapshots
+    // travel the same mq path as events. Wait for it to catch up with
+    // what the collectors counted.
+    let collected = monitor.total_collector_stats().events;
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        monitor.publish_fleet_snapshots();
-        if monitor.fleet_sources().len() >= mds as usize || Instant::now() >= deadline {
-            break;
-        }
+    let mut fleet = monitor.fleet_snapshot();
+    while (fleet.counter("fsmon_collector_events_total") < collected
+        || monitor.fleet_sources().len() < mds as usize)
+        && Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(20));
+        fleet = monitor.fleet_snapshot();
     }
-    let fleet = monitor.fleet_snapshot();
     let sources = monitor.fleet_sources();
     let _ = writeln!(
         out,

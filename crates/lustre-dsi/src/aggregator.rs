@@ -659,8 +659,8 @@ fn run_demux(lane: Arc<LaneCtx>) {
             Err(_) => continue,
         };
         // Fleet registry snapshots are folded here rather than routed:
-        // they are rare (one JSON frame per collector every few dozen
-        // batches) and keeping the map single-writer avoids lane races.
+        // they are rare (a few JSON frames per collector per second at
+        // most) and keeping the map single-writer avoids lane races.
         if msg.topic().starts_with(b"telemetry.") {
             ingest_fleet_snapshot(&lane, &msg);
             continue;

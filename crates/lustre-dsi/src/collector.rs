@@ -21,6 +21,7 @@ use lustre_sim::{ChangelogRecord, CostModel, Fid};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Collector throughput and cache-effectiveness counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,9 +53,12 @@ pub const CACHE_ENTRY_BYTES: usize = 112;
 /// capacity) doesn't shift when the ablation knob changes.
 const CACHE_SHARDS: usize = 8;
 
-/// Productive steps between fleet snapshot publications on the
-/// collector's `telemetry.mdt<i>` topic.
-const FLEET_SNAPSHOT_STEPS: u64 = 16;
+/// Shortest time between fleet snapshot publications on the
+/// collector's `telemetry.mdt<i>` topic while records keep flowing. A
+/// snapshot is a JSON registry dump the aggregator parses on its demux
+/// thread, in front of events, so it is paced by the clock and not by
+/// steps: a collector that keeps up steps as often as once per record.
+const FLEET_SNAPSHOT_EVERY: Duration = Duration::from_millis(200);
 
 /// The per-collector mirror registry behind fleet aggregation. Every
 /// in-process collector shares the *global* registry (per-MDT labels
@@ -71,7 +75,11 @@ struct FleetMirror {
     traces: Arc<fsmon_telemetry::Counter>,
     backlog: Arc<fsmon_telemetry::Gauge>,
     topic: Vec<u8>,
-    steps: u64,
+    /// The mirror changed since the last publication. Born dirty: a
+    /// collector announces itself to the fleet view before its first
+    /// record.
+    dirty: bool,
+    published_at: Instant,
 }
 
 impl FleetMirror {
@@ -87,7 +95,8 @@ impl FleetMirror {
             traces: scope.counter("traces_total"),
             backlog: scope.gauge("backlog"),
             topic: format!("telemetry.mdt{mdt_index}").into_bytes(),
-            steps: 0,
+            dirty: true,
+            published_at: Instant::now(),
             registry,
         }
     }
@@ -570,8 +579,8 @@ impl Collector {
             self.fleet.records.add(n_records as u64);
             self.fleet.events.add(events.len() as u64);
             self.fleet.backlog.set(self.mdt.backlog(self.user) as i64);
-            self.fleet.steps += 1;
-            if self.fleet.steps.is_multiple_of(FLEET_SNAPSHOT_STEPS) {
+            self.fleet.dirty = true;
+            if self.fleet.published_at.elapsed() >= FLEET_SNAPSHOT_EVERY {
                 self.publish_fleet_snapshot();
             }
         }
@@ -579,17 +588,27 @@ impl Collector {
     }
 
     /// Publish this collector's private registry snapshot on its
-    /// `telemetry.mdt<i>` topic (no-op without a publisher). Called
-    /// automatically every [`FLEET_SNAPSHOT_STEPS`] productive steps;
-    /// callers may force one (e.g. on shutdown) so the fleet view ends
-    /// current.
-    pub fn publish_fleet_snapshot(&self) {
+    /// `telemetry.mdt<i>` topic (no-op without a publisher).
+    fn publish_fleet_snapshot(&mut self) {
         if let Some(publisher) = &self.publisher {
             let json = self.fleet.snapshot_json();
             let _ = publisher.send(Message::from_parts(vec![
                 bytes::Bytes::from(self.fleet.topic.clone()),
                 bytes::Bytes::from(json.into_bytes()),
             ]));
+        }
+        self.fleet.dirty = false;
+        self.fleet.published_at = Instant::now();
+    }
+
+    /// Publish the fleet snapshot if it changed since it was last
+    /// published. `step` publishes at most every
+    /// [`FLEET_SNAPSHOT_EVERY`] while records flow; the collector lane
+    /// calls this when it finds the changelog quiet, so the fleet view
+    /// converges on its own once traffic stops.
+    pub(crate) fn flush_fleet_snapshot(&mut self) {
+        if self.fleet.dirty {
+            self.publish_fleet_snapshot();
         }
     }
 

@@ -32,6 +32,10 @@ pub struct ConsumerRecoveryStats {
     pub gap_events_healed: u64,
     /// Successful reconnects after a broken aggregator link.
     pub reconnects: u64,
+    /// Blocking waits for the live stream that ran out their budget
+    /// with nothing to deliver. A consumer that is being fed is woken
+    /// by arrivals and counts none.
+    pub wait_timeouts: u64,
 }
 
 /// A consumer attached to the aggregator.
@@ -57,12 +61,14 @@ pub struct Consumer {
     gaps_detected: AtomicU64,
     gap_events_healed: AtomicU64,
     reconnects: AtomicU64,
+    wait_timeouts: AtomicU64,
     t_delivered: Arc<fsmon_telemetry::Counter>,
     t_filtered: Arc<fsmon_telemetry::Counter>,
     t_duplicates: Arc<fsmon_telemetry::Counter>,
     t_gaps: Arc<fsmon_telemetry::Counter>,
     t_healed: Arc<fsmon_telemetry::Counter>,
     t_reconnects: Arc<fsmon_telemetry::Counter>,
+    t_wait_timeouts: Arc<fsmon_telemetry::Counter>,
 }
 
 impl Consumer {
@@ -131,12 +137,14 @@ impl Consumer {
             gaps_detected: AtomicU64::new(0),
             gap_events_healed: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
+            wait_timeouts: AtomicU64::new(0),
             t_delivered: scope.counter("delivered_total"),
             t_filtered: scope.counter("filtered_total"),
             t_duplicates: scope.counter("duplicates_dropped_total"),
             t_gaps: scope.counter("gaps_detected_total"),
             t_healed: scope.counter("gap_events_healed_total"),
             t_reconnects: scope.counter("reconnects_total"),
+            t_wait_timeouts: scope.counter("wait_timeouts_total"),
         })
     }
 
@@ -176,7 +184,22 @@ impl Consumer {
             gaps_detected: self.gaps_detected.load(Ordering::Relaxed),
             gap_events_healed: self.gap_events_healed.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
+            wait_timeouts: self.wait_timeouts.load(Ordering::Relaxed),
         }
+    }
+
+    /// Bump `signal` whenever a frame arrives on this consumer's
+    /// socket, so a federation of consumers can sleep on all of its
+    /// lanes at once. `false` if this consumer already reports to
+    /// another signal.
+    pub(crate) fn notify_arrivals(&self, signal: Arc<fsmon_mq::ArrivalSignal>) -> bool {
+        self.sub.notify_arrivals(signal)
+    }
+
+    /// Count one blocking wait that ran out its budget empty-handed.
+    pub(crate) fn note_wait_timeout(&self) {
+        self.wait_timeouts.fetch_add(1, Ordering::Relaxed);
+        self.t_wait_timeouts.inc();
     }
 
     fn ingest(&self, events: Vec<StandardEvent>) {
@@ -386,7 +409,10 @@ impl Consumer {
                     self.sub.recv_timeout(deadline - Instant::now()).ok()
                 }
             };
-            let Some(msg) = msg else { return };
+            let Some(msg) = msg else {
+                self.note_wait_timeout();
+                return;
+            };
             self.ingest_frame(&msg);
             if !self.pending.lock().is_empty() {
                 // Sweep whatever else is already queued, then hand back.
@@ -441,9 +467,18 @@ impl Consumer {
     /// Drain everything currently buffered (no waiting beyond a single
     /// socket sweep).
     pub fn drain(&self) -> Vec<StandardEvent> {
-        self.pump_socket(Duration::from_millis(1));
-        let mut pending = self.pending.lock();
-        pending.drain(..).collect()
+        self.take_pending(Duration::from_millis(1))
+    }
+
+    /// [`drain`](Consumer::drain) that never waits: whatever has
+    /// already arrived.
+    pub(crate) fn poll(&self) -> Vec<StandardEvent> {
+        self.take_pending(Duration::ZERO)
+    }
+
+    fn take_pending(&self, budget: Duration) -> Vec<StandardEvent> {
+        self.pump_socket(budget);
+        self.pending.lock().drain(..).collect()
     }
 
     /// Replay historic events with id greater than `since` from the

@@ -15,11 +15,12 @@ use fsmon_events::MonitorSource;
 use fsmon_faults::{FaultPoint, Faults, Retry};
 use fsmon_mq::Context;
 use fsmon_store::{EventStore, MemStore};
+use lustre_sim::namespace::MdtHandle;
 use lustre_sim::LustreFs;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which transport connects the pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,8 +45,6 @@ pub struct ScalableConfig {
     pub transport: Transport,
     /// Watch root reported on standardized events.
     pub watch_root: String,
-    /// Collector idle sleep when the changelog is empty.
-    pub idle_sleep: Duration,
     /// Reliable event store (defaults to in-memory, or a [`FileStore`]
     /// under [`store_dir`] when that is set).
     ///
@@ -145,7 +144,6 @@ impl Default for ScalableConfig {
             batch_size: 1024,
             transport: Transport::Inproc,
             watch_root: "/mnt/lustre".to_string(),
-            idle_sleep: Duration::from_micros(200),
             store: None,
             store_dir: None,
             store_segment_bytes: fsmon_store::file::DEFAULT_SEGMENT_BYTES,
@@ -189,10 +187,8 @@ pub struct ScalableMonitor {
     ctx: Context,
     stop: Arc<AtomicBool>,
     watch_root: String,
-    /// Wall time each collector spent inside `step()` (ns), indexed by
-    /// MDT. Busy time, not wall time, is what determines a collector's
-    /// service capacity on a shared-core host.
-    collector_busy_ns: Vec<Arc<AtomicU64>>,
+    /// What each collector lane counts about itself, indexed by MDT.
+    lane_counters: Vec<Arc<LaneCounters>>,
     /// One historic-events service per aggregator shard (shard 0
     /// doubles as the classic single endpoint).
     history: Vec<crate::history::HistoryService>,
@@ -201,17 +197,55 @@ pub struct ScalableMonitor {
     health: Option<Arc<fsmon_telemetry::HealthMonitor>>,
 }
 
+/// What a collector lane counts about itself; survives the lane's
+/// restarts.
+#[derive(Default)]
+struct LaneCounters {
+    /// Wall time spent inside productive `step()`s (ns). Busy time, not
+    /// wall time, is what determines a collector's service capacity on
+    /// a shared-core host.
+    busy_ns: AtomicU64,
+    /// Bounded changelog waits that ended by timeout: how often an idle
+    /// lane woke with nothing to do.
+    idle_wakeups: AtomicU64,
+}
+
+/// Longest a lane parks on a quiet changelog before it looks at the
+/// stop flag again (and flushes a dirty fleet snapshot).
+const LANE_PARK: Duration = Duration::from_millis(20);
+
+/// A wait that records end sooner than this is a *quick wake*: the
+/// lane had barely gone idle. It is also how long a lane that keeps
+/// being woken quickly holds off its next step.
+const LANE_PACE: Duration = Duration::from_micros(200);
+
+/// Quick wakes in a row a lane answers at once before it starts to
+/// pace itself. An isolated record, or a burst of a few, is read the
+/// moment it is appended; a stream that never lets the lane rest
+/// (> 5k records/s for milliseconds on end) is read in batches, because
+/// one wake-up per record per pipeline stage costs more CPU than the
+/// records do. Once pacing, the lane sleeps `LANE_PACE` before every
+/// step for as long as steps find more than one record. A paced step
+/// that finds a single record had nothing to batch — a client that
+/// issues its next operation when it sees the event of the last one
+/// looks like this — and the count starts over. The same rule covers
+/// records a step cannot take (no matching subscriber yet, an injected
+/// `ChangelogRead` fault): the wait returns at once every time, so the
+/// lane retries on this timer and cannot spin.
+const LANE_QUICK_WAKES: u32 = 32;
+
 /// Everything one collector lane thread needs; bundled so the
 /// supervisor can respawn a lane with the same wiring.
 struct CollectorLane {
     collector: Arc<Mutex<Collector>>,
+    /// The lane's own handle to the MDT: it waits on the changelog
+    /// without holding the collector.
+    mdt: MdtHandle,
     alive: Arc<AtomicBool>,
-    busy: Arc<AtomicU64>,
+    counters: Arc<LaneCounters>,
     stop: Arc<AtomicBool>,
-    idle: Duration,
     cursors: Option<Arc<Mutex<crate::cursor::CursorFile>>>,
     faults: Faults,
-    mdt: u16,
 }
 
 /// Run one collector lane until stop — or until an injected crash
@@ -219,40 +253,76 @@ struct CollectorLane {
 /// worst-case window: the restarted incarnation re-reads and
 /// re-publishes, and the aggregator's changelog-index dedup absorbs
 /// the duplicates).
+///
+/// The lane is driven by the changelog, not by a timer: it steps while
+/// steps produce events and otherwise blocks in
+/// [`MdtHandle::wait_changelog`] until `append` wakes it (a lane that
+/// is woken again and again the moment it blocks paces itself, see
+/// [`LANE_QUICK_WAKES`]). The wait happens outside the `Collector`
+/// mutex, so `stats()`, `backlog()` and the supervisor never queue
+/// behind a parked lane.
 fn spawn_collector_lane(threads: &Mutex<Vec<std::thread::JoinHandle<()>>>, lane: CollectorLane) {
     lane.alive.store(true, Ordering::Relaxed);
-    let step_ns = fsmon_telemetry::root()
+    let mdt = lane.mdt.index();
+    let scope = fsmon_telemetry::root()
         .scope("collector")
-        .with_label("mdt", lane.mdt.to_string())
-        .histogram("step_ns");
+        .with_label("mdt", mdt.to_string());
+    let step_ns = scope.histogram("step_ns");
+    let idle_wakeups = scope.counter("idle_wakeups_total");
     let handle = std::thread::Builder::new()
-        .name(format!("collector-mdt{}", lane.mdt))
+        .name(format!("collector-mdt{mdt}"))
         .spawn(move || {
+            // At `LANE_QUICK_WAKES` the lane is pacing itself: every
+            // step it takes follows a `LANE_PACE` sleep.
+            let mut quick_wakes = 0u32;
             while !lane.stop.load(Ordering::Relaxed) {
                 // Breach-injection point: a stall keeps the lane alive
                 // but stops it draining, growing ingest lag until the
                 // health engine's SLO fires.
                 lane.faults.inject_or_delay(FaultPoint::CollectorStall);
-                let t0 = std::time::Instant::now();
+                let t0 = Instant::now();
                 let (produced, cursor) = {
                     let mut c = lane.collector.lock();
                     (c.step().len(), c.last_index())
                 };
-                if lane.faults.inject(FaultPoint::CollectorCrash).is_some() {
-                    // Died before the cursor flush below.
-                    lane.alive.store(false, Ordering::Relaxed);
-                    return;
-                }
-                if produced == 0 {
-                    std::thread::sleep(lane.idle);
-                } else {
+                if produced > 0 {
                     let elapsed = t0.elapsed().as_nanos() as u64;
-                    lane.busy.fetch_add(elapsed, Ordering::Relaxed);
+                    lane.counters.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
                     step_ns.record(elapsed);
+                    // Rolled per productive step: the window it models
+                    // is "published, cursor not yet persisted".
+                    if lane.faults.inject(FaultPoint::CollectorCrash).is_some() {
+                        lane.alive.store(false, Ordering::Relaxed);
+                        return;
+                    }
                     if let Some(cursors) = &lane.cursors {
                         let mut cf = cursors.lock();
-                        cf.advance(lane.mdt, cursor);
+                        cf.advance(mdt, cursor);
                         let _ = cf.flush();
+                    }
+                    if quick_wakes < LANE_QUICK_WAKES {
+                        continue;
+                    }
+                    if produced > 1 {
+                        // Pacing pays: stay on the timer.
+                        std::thread::sleep(LANE_PACE);
+                    } else {
+                        quick_wakes = 0;
+                    }
+                    continue;
+                }
+                let parked = Instant::now();
+                if !lane.mdt.wait_changelog(cursor, LANE_PARK) {
+                    quick_wakes = 0;
+                    lane.counters.idle_wakeups.fetch_add(1, Ordering::Relaxed);
+                    idle_wakeups.inc();
+                    lane.collector.lock().flush_fleet_snapshot();
+                } else if parked.elapsed() >= LANE_PACE {
+                    quick_wakes = 0;
+                } else {
+                    quick_wakes = (quick_wakes + 1).min(LANE_QUICK_WAKES);
+                    if quick_wakes == LANE_QUICK_WAKES {
+                        std::thread::sleep(LANE_PACE);
                     }
                 }
             }
@@ -489,24 +559,23 @@ impl ScalableMonitor {
                     .expect("spawn janitor thread"),
             );
         }
-        let mut collector_busy_ns = Vec::new();
+        let mut lane_counters = Vec::new();
         let mut collector_alive = Vec::new();
         for (i, collector) in collectors.iter().enumerate() {
-            let busy = Arc::new(AtomicU64::new(0));
+            let counters = Arc::new(LaneCounters::default());
             let alive = Arc::new(AtomicBool::new(false));
-            collector_busy_ns.push(busy.clone());
+            lane_counters.push(counters.clone());
             collector_alive.push(alive.clone());
             spawn_collector_lane(
                 &threads,
                 CollectorLane {
                     collector: collector.clone(),
+                    mdt: fs.mdt(i as u16),
                     alive,
-                    busy,
+                    counters,
                     stop: stop.clone(),
-                    idle: config.idle_sleep,
                     cursors: cursors.clone(),
                     faults: config.faults.clone(),
-                    mdt: i as u16,
                 },
             );
         }
@@ -554,7 +623,7 @@ impl ScalableMonitor {
             let aggregator = aggregator.clone();
             let collectors = collectors.clone();
             let alive = collector_alive.clone();
-            let busy = collector_busy_ns.clone();
+            let lane_counters = lane_counters.clone();
             let cursors = cursors.clone();
             let fs = fs.clone();
             let ctx = ctx.clone();
@@ -628,13 +697,12 @@ impl ScalableMonitor {
                                 &threads_sup,
                                 CollectorLane {
                                     collector: collectors[i].clone(),
+                                    mdt: fs.mdt(mdt),
                                     alive: alive[i].clone(),
-                                    busy: busy[i].clone(),
+                                    counters: lane_counters[i].clone(),
                                     stop: stop.clone(),
-                                    idle: config.idle_sleep,
                                     cursors: cursors.clone(),
                                     faults: config.faults.clone(),
-                                    mdt,
                                 },
                             );
                         }
@@ -653,7 +721,7 @@ impl ScalableMonitor {
             ctx,
             stop,
             watch_root: config.watch_root,
-            collector_busy_ns,
+            lane_counters,
             history,
             collector_restarts,
             tracer,
@@ -761,9 +829,8 @@ impl ScalableMonitor {
 
     /// The fleet view: collector registry snapshots merged across MDTs
     /// (counters/histograms add, gauges last-write). Collectors publish
-    /// a snapshot every few dozen batches; call
-    /// [`publish_fleet_snapshots`](ScalableMonitor::publish_fleet_snapshots)
-    /// first for an up-to-the-moment view.
+    /// a snapshot a few times a second while records flow and once more
+    /// when they stop, so the view settles by itself.
     pub fn fleet_snapshot(&self) -> fsmon_telemetry::Snapshot {
         self.aggregator.fleet_snapshot()
     }
@@ -771,14 +838,6 @@ impl ScalableMonitor {
     /// Sources (collector telemetry topics) seen in the fleet view.
     pub fn fleet_sources(&self) -> Vec<String> {
         self.aggregator.fleet_sources()
-    }
-
-    /// Force every collector to publish its fleet registry snapshot
-    /// now (they otherwise publish every few dozen productive steps).
-    pub fn publish_fleet_snapshots(&self) {
-        for c in &self.collectors {
-            c.lock().publish_fleet_snapshot();
-        }
     }
 
     /// Aggregator counters (per-shard counters summed).
@@ -860,9 +919,21 @@ impl ScalableMonitor {
 
     /// Per-collector busy time (ns spent inside `step`), indexed by MDT.
     pub fn collector_busy_ns(&self) -> Vec<u64> {
-        self.collector_busy_ns
+        self.lane_counters
             .iter()
-            .map(|b| b.load(Ordering::Relaxed))
+            .map(|c| c.busy_ns.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Per-collector idle wake-ups, indexed by MDT: bounded changelog
+    /// waits that ended by timeout (about 50/s for a lane with nothing
+    /// to do; the live signal is
+    /// `fsmon_collector_idle_wakeups_total{mdt}`). A lane that is fed
+    /// records is woken by them and counts none.
+    pub fn collector_idle_wakeups(&self) -> Vec<u64> {
+        self.lane_counters
+            .iter()
+            .map(|c| c.idle_wakeups.load(Ordering::Relaxed))
             .collect()
     }
 
@@ -871,9 +942,11 @@ impl ScalableMonitor {
         self.collectors.iter().map(|c| c.lock().backlog()).sum()
     }
 
-    /// Block until the aggregator has received `n` events (or timeout).
+    /// Block until the aggregator tier has published `n` events to
+    /// its consumers (or timeout): a `recv_batch` on an in-process
+    /// consumer that follows finds them all queued.
     pub fn wait_events(&self, n: u64, timeout: Duration) -> bool {
-        self.aggregator.wait_received(n, timeout)
+        self.aggregator.wait_published(n, timeout)
     }
 
     /// Watch root reported on events.
@@ -1169,7 +1242,10 @@ mod tests {
     fn supervisor_restarts_crashed_collectors_without_loss_or_dup() {
         use fsmon_faults::{FaultPlan, FaultRule};
         let fs = LustreFs::new(LustreConfig::small());
-        // Crash the collector a few times while events stream.
+        // Crash the collector a few times while events stream. The
+        // crash point is rolled once per productive step, and 1500
+        // records in batches of ≤ 16 are at least 94 of them: this
+        // seeded plan's first hit is roll 48, so it is always reached.
         let faults = FaultPlan::new(11)
             .with(
                 FaultPoint::CollectorCrash,
@@ -1257,10 +1333,9 @@ mod tests {
         let exemplar = fsmon_telemetry::trace::exemplar().expect("exemplar recorded");
         assert!(exemplar.event_id >= 1);
         assert!(exemplar.mdt < 2);
-        // The fleet view: force snapshots out and merge across MDTs.
-        // Poll for both conditions — the counter can reach n before the
-        // second MDT's forced snapshot has traveled the queue.
-        monitor.publish_fleet_snapshots();
+        // The fleet view converges on its own: each lane flushes its
+        // dirty snapshot when it finds the changelog quiet, and the
+        // snapshots then travel the queue.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let mut fleet = monitor.fleet_snapshot();
         while (fleet.counter("fsmon_collector_events_total") < n
@@ -1268,7 +1343,6 @@ mod tests {
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(20));
-            monitor.publish_fleet_snapshots();
             fleet = monitor.fleet_snapshot();
         }
         assert_eq!(
@@ -1281,6 +1355,108 @@ mod tests {
             "both MDTs contributed snapshots: {:?}",
             monitor.fleet_sources()
         );
+        monitor.stop();
+    }
+
+    #[test]
+    fn idle_lanes_park_on_the_changelog_instead_of_polling_it() {
+        let fs = LustreFs::new(LustreConfig::small_dne(2));
+        let monitor = ScalableMonitor::start(&fs, ScalableConfig::default()).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        // A parked lane wakes once per 20 ms bound: ~15 per MDT here
+        // (a 200 µs poll loop would have iterated > 1 500 times).
+        let woke: u64 = monitor.collector_idle_wakeups().iter().sum();
+        assert!(woke <= 40, "{woke} idle wake-ups in 300 ms");
+        // Parked is not deaf: a record still gets through.
+        fs.client().create("/after-the-quiet").unwrap();
+        assert!(monitor.wait_events(1, Duration::from_secs(5)));
+        monitor.stop();
+    }
+
+    #[test]
+    fn stats_and_backlog_never_wait_behind_a_parked_lane() {
+        let fs = LustreFs::new(LustreConfig::small_dne(2));
+        let monitor = ScalableMonitor::start(&fs, ScalableConfig::default()).unwrap();
+        // Both lanes have nothing to read and are parked.
+        let before: u64 = monitor.collector_idle_wakeups().iter().sum();
+        for _ in 0..200 {
+            assert_eq!(monitor.total_backlog(), 0);
+            assert_eq!(monitor.total_collector_stats().records, 0);
+        }
+        // Had a lane parked while holding its collector, each of the
+        // 400 calls per MDT would have sat out (at least) one of its
+        // bounded waits.
+        let after: u64 = monitor.collector_idle_wakeups().iter().sum();
+        assert!(
+            after - before < 100,
+            "{} lane wait timeouts went by during 200 stats() + backlog() rounds",
+            after - before
+        );
+        monitor.stop();
+    }
+
+    #[test]
+    fn one_busy_shard_is_not_delivered_behind_a_silent_one() {
+        // K = 2 over 2 MDTs: shard 1 owns MDT 1, shard 0 stays silent.
+        let fs = LustreFs::new(LustreConfig::small_dne(2));
+        let monitor = ScalableMonitor::start(
+            &fs,
+            ScalableConfig {
+                aggregator_shards: 2,
+                ..ScalableConfig::default()
+            },
+        )
+        .unwrap();
+        let client = fs.client();
+        let consumer = monitor.consumer();
+        // A directory on MDT 1; the mkdirs themselves are root's
+        // records, i.e. shard 0's, and are received before the test.
+        let mut made = 0;
+        let dir = loop {
+            let dir = format!("/pp{made}");
+            client.mkdir(&dir).unwrap();
+            made += 1;
+            if fs.mdt_of(&dir).unwrap() == 1 {
+                break dir;
+            }
+        };
+        for _ in 0..made {
+            consumer.recv(Duration::from_secs(5)).expect("a mkdir");
+        }
+        // Ping-pong: each create is issued only after the previous one
+        // was received, so every recv starts with all lanes empty and
+        // has to block for its event.
+        for i in 0..200 {
+            client.create(&format!("{dir}/f{i}")).unwrap();
+            let ev = consumer.recv(Duration::from_secs(5)).expect("delivered");
+            assert_eq!(ev.path, format!("{dir}/f{i}"));
+            assert_eq!(fsmon_core::shard_of(ev.mdt_index, 2), 1);
+        }
+        // Every one of those waits was ended by the arrival itself.
+        assert_eq!(consumer.recovery_stats().wait_timeouts, 0);
+        monitor.stop();
+    }
+
+    #[test]
+    fn federated_drain_waits_once_for_all_lanes_together() {
+        let fs = LustreFs::new(LustreConfig::small_dne(4));
+        let monitor = ScalableMonitor::start(
+            &fs,
+            ScalableConfig {
+                aggregator_shards: 4,
+                ..ScalableConfig::default()
+            },
+        )
+        .unwrap();
+        let consumer = monitor.consumer();
+        for call in 1..=10u64 {
+            assert!(consumer.drain().is_empty());
+            assert_eq!(
+                consumer.recovery_stats().wait_timeouts,
+                call,
+                "one expired wait per drain() of an idle K = 4 tier"
+            );
+        }
         monitor.stop();
     }
 

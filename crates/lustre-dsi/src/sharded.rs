@@ -36,7 +36,7 @@ use crate::subscriber::{FilteredConsumer, FilteredStats, FilteredSubscriber};
 use fsmon_core::{shard_of, EventFilter, ShardMerger, VectorWatermark};
 use fsmon_events::{EventId, StandardEvent};
 use fsmon_faults::{Faults, Retry};
-use fsmon_mq::{ClassStats, Context};
+use fsmon_mq::{ArrivalSignal, ClassStats, Context};
 use fsmon_store::EventStore;
 use fsmon_telemetry::{Snapshot, Tracer};
 use parking_lot::Mutex;
@@ -241,11 +241,14 @@ impl ShardedAggregator {
         sources
     }
 
-    /// Block until the tier has received `n` events in total.
-    pub fn wait_received(&self, n: u64, timeout: Duration) -> bool {
+    /// Block until the tier has published `n` events in total, i.e.
+    /// handed them to its consumer-facing sockets (an in-process
+    /// consumer then has them queued). `received` runs ahead of this
+    /// by whatever the sequencers still hold.
+    pub fn wait_published(&self, n: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
-            if self.stats().received >= n {
+            if self.stats().published >= n {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -268,6 +271,10 @@ pub struct FederatedConsumer {
     lanes: Vec<Arc<Consumer>>,
     merger: Mutex<ShardMerger>,
     pending: Mutex<VecDeque<StandardEvent>>,
+    /// Bumped by every lane's socket when a frame arrives (K > 1): the
+    /// one thing a federated `recv` sleeps on, whichever shard speaks
+    /// next. A single lane blocks on its own socket instead.
+    arrivals: Arc<ArrivalSignal>,
 }
 
 impl FederatedConsumer {
@@ -276,11 +283,26 @@ impl FederatedConsumer {
     /// build the lanes, [`resume_from_vector`]
     /// ([`FederatedConsumer::resume_from_vector`]) with a persisted
     /// watermark, then [`catch_up`](FederatedConsumer::catch_up).
+    ///
+    /// # Panics
+    ///
+    /// If K > 1 and a lane already belongs to another federation: two
+    /// federations draining one lane would split its stream.
     pub fn from_parts(lanes: Vec<Arc<Consumer>>) -> FederatedConsumer {
+        let arrivals = Arc::new(ArrivalSignal::new());
+        if lanes.len() > 1 {
+            for lane in &lanes {
+                assert!(
+                    lane.notify_arrivals(arrivals.clone()),
+                    "a consumer lane belongs to one federation"
+                );
+            }
+        }
         FederatedConsumer {
             lanes,
             merger: Mutex::new(ShardMerger::new()),
             pending: Mutex::new(VecDeque::new()),
+            arrivals,
         }
     }
 
@@ -312,13 +334,34 @@ impl FederatedConsumer {
         }
     }
 
-    /// Sweep every lane's socket and fold whatever arrived into the
-    /// merged pending queue (one bounded-reordering window).
-    fn pump(&self) {
-        let mut windows: Vec<Vec<StandardEvent>> = self.lanes.iter().map(|l| l.drain()).collect();
+    /// Fold whatever has already arrived on any lane into the merged
+    /// pending queue (one bounded-reordering window). Never blocks.
+    fn sweep(&self) {
+        let mut windows: Vec<Vec<StandardEvent>> = self.lanes.iter().map(|l| l.poll()).collect();
         let merged = self.merger.lock().merge(&mut windows);
         if !merged.is_empty() {
             self.pending.lock().extend(merged);
+        }
+    }
+
+    /// [`sweep`](Self::sweep), and if that leaves nothing pending,
+    /// block once — on every lane at the same time — until a frame
+    /// arrives or `budget` runs out, then sweep again. An event on a
+    /// busy shard never waits behind a silent one.
+    fn pump(&self, budget: Duration) {
+        // Read before the sweep: a frame that lands behind the sweep's
+        // back has moved the count on, and the wait returns at once.
+        let seen = self.arrivals.epoch();
+        self.sweep();
+        if budget.is_zero() || !self.pending.lock().is_empty() {
+            return;
+        }
+        if self.arrivals.wait_past(seen, budget) {
+            self.sweep();
+        } else {
+            // Charged to lane 0 so it shows under that lane's
+            // `consumer=<name>` label like a single lane's own.
+            self.lanes[0].note_wait_timeout();
         }
     }
 
@@ -332,13 +375,11 @@ impl FederatedConsumer {
             if let Some(ev) = self.pending.lock().pop_front() {
                 return Some(ev);
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return None;
             }
-            self.pump();
-            if self.pending.lock().is_empty() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            self.pump(left);
         }
     }
 
@@ -353,7 +394,7 @@ impl FederatedConsumer {
             Some(first) => out.push(first),
             None => return out,
         }
-        self.pump();
+        self.sweep();
         let mut pending = self.pending.lock();
         while out.len() < max {
             match pending.pop_front() {
@@ -364,12 +405,13 @@ impl FederatedConsumer {
         out
     }
 
-    /// Drain everything currently buffered across every lane.
+    /// Drain everything currently buffered across every lane (no
+    /// waiting beyond one 1 ms wait on all of them together).
     pub fn drain(&self) -> Vec<StandardEvent> {
         if self.lanes.len() == 1 {
             return self.lanes[0].drain();
         }
-        self.pump();
+        self.pump(Duration::from_millis(1));
         self.pending.lock().drain(..).collect()
     }
 
@@ -460,6 +502,7 @@ impl FederatedConsumer {
             total.gaps_detected += one.gaps_detected;
             total.gap_events_healed += one.gap_events_healed;
             total.reconnects += one.reconnects;
+            total.wait_timeouts += one.wait_timeouts;
         }
         total
     }

@@ -7,8 +7,9 @@
 //! cleared" (§IV Processing) — that is exactly [`Changelog::clear`].
 
 use crate::record::ChangelogRecord;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// A registered changelog consumer (Lustre's `cl1`, `cl2`, … users).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,6 +27,9 @@ pub struct ChangelogStats {
     pub retained: usize,
     /// Highest record index assigned so far (0 if none).
     pub last_index: u64,
+    /// Appends that found a reader blocked in [`Changelog::wait`] and
+    /// woke it. An append with no waiter signals nothing.
+    pub wakeups: u64,
 }
 
 #[derive(Debug)]
@@ -36,6 +40,8 @@ struct Inner {
     /// been consumed by that user.
     users: Vec<(ChangelogUser, u64)>,
     next_user: u32,
+    /// Readers currently blocked in [`Changelog::wait`].
+    waiters: usize,
     stats: ChangelogStats,
 }
 
@@ -45,6 +51,8 @@ pub struct Changelog {
     mdt_index: u16,
     capacity: usize,
     inner: Mutex<Inner>,
+    /// Signalled by `append` when a reader is blocked in `wait`.
+    appended: Condvar,
 }
 
 impl Changelog {
@@ -59,9 +67,17 @@ impl Changelog {
                 next_index: 1,
                 users: Vec::new(),
                 next_user: 1,
+                waiters: 0,
                 stats: ChangelogStats::default(),
             }),
+            appended: Condvar::new(),
         }
+    }
+
+    /// Every update leaves `Inner` valid at every step, so a holder
+    /// that panicked does not take the changelog down with it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The MDT this changelog belongs to.
@@ -74,7 +90,7 @@ impl Changelog {
     /// history (its watermark starts just below the oldest retained
     /// record) but does not resurrect records already freed.
     pub fn register_user(&self) -> ChangelogUser {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let user = ChangelogUser(inner.next_user);
         inner.next_user += 1;
         let watermark = match inner.records.front() {
@@ -87,7 +103,7 @@ impl Changelog {
 
     /// Deregister a user; its watermark no longer pins records.
     pub fn deregister_user(&self, user: ChangelogUser) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.users.retain(|(u, _)| *u != user);
         Self::gc(&mut inner, self.capacity);
     }
@@ -95,7 +111,7 @@ impl Changelog {
     /// Append a record body (the namespace fills in everything except the
     /// index, which the changelog assigns). Returns the assigned index.
     pub fn append(&self, mut record: ChangelogRecord) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let idx = inner.next_index;
         inner.next_index += 1;
         record.index = idx;
@@ -105,7 +121,46 @@ impl Changelog {
         inner.stats.last_index = idx;
         Self::gc(&mut inner, self.capacity);
         inner.stats.retained = inner.records.len();
+        // Waiters register under this mutex, so the count is exact: a
+        // changelog nobody follows (a backlog being generated) pays no
+        // futex call per record.
+        let wake = inner.waiters > 0;
+        if wake {
+            inner.stats.wakeups += 1;
+        }
+        drop(inner);
+        if wake {
+            self.appended.notify_all();
+        }
         idx
+    }
+
+    /// Block until a record with index greater than `since` exists, or
+    /// `timeout` elapses; returns whether one exists. This is the
+    /// blocking read of the real facility (`CHANGELOG_FLAG_FOLLOW`, the
+    /// `poll(2)`-able `/dev/changelog-*` device). The predicate is
+    /// checked under the changelog mutex `append` holds, so a record
+    /// appended between a reader's empty [`read`](Changelog::read) and
+    /// this call is never slept through.
+    pub fn wait(&self, since: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut inner = self.lock();
+        loop {
+            if inner.next_index - 1 > since {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            inner.waiters += 1;
+            inner = self
+                .appended
+                .wait_timeout(inner, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            inner.waiters -= 1;
+        }
     }
 
     /// Read up to `max` records with index strictly greater than `since`.
@@ -113,7 +168,7 @@ impl Changelog {
     /// This is the collector's batch read (Algorithm 1 line 2: "events =
     /// read events from mdt Changelog").
     pub fn read(&self, since: u64, max: usize) -> Vec<ChangelogRecord> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         // Records are index-ordered; binary search for the first > since.
         let start = inner.records.partition_point(|r| r.index <= since);
         inner
@@ -129,7 +184,7 @@ impl Changelog {
     /// (Lustre `changelog_clear`). Records are freed once *every*
     /// registered user has cleared them.
     pub fn clear(&self, user: ChangelogUser, up_to: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(entry) = inner.users.iter_mut().find(|(u, _)| *u == user) {
             entry.1 = entry.1.max(up_to);
         }
@@ -139,7 +194,7 @@ impl Changelog {
 
     /// Current health counters.
     pub fn stats(&self) -> ChangelogStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let mut stats = inner.stats;
         stats.retained = inner.records.len();
         stats
@@ -148,7 +203,7 @@ impl Changelog {
     /// Number of records currently pending for `user` (appended but not
     /// yet cleared by it).
     pub fn backlog(&self, user: ChangelogUser) -> u64 {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let watermark = inner
             .users
             .iter()
@@ -297,6 +352,50 @@ mod tests {
         assert_eq!(log.stats().retained, 1);
         log.deregister_user(u2);
         assert_eq!(log.stats().retained, 0);
+    }
+
+    #[test]
+    fn wait_returns_at_once_when_a_newer_record_exists() {
+        let log = Changelog::new(0, 0);
+        log.append(rec("a"));
+        log.append(rec("b"));
+        // An hour-long budget: only the predicate can end these waits.
+        assert!(log.wait(0, Duration::from_secs(3600)));
+        assert!(log.wait(1, Duration::from_secs(3600)));
+        assert_eq!(log.stats().wakeups, 0, "nobody was blocked");
+    }
+
+    #[test]
+    fn wait_times_out_on_an_empty_log() {
+        let log = Changelog::new(0, 0);
+        assert!(!log.wait(0, Duration::from_millis(5)));
+        log.append(rec("a"));
+        assert!(!log.wait(1, Duration::ZERO), "nothing past the cursor");
+    }
+
+    #[test]
+    fn append_wakes_a_blocked_reader_and_only_a_blocked_reader() {
+        use std::sync::Arc;
+        let log = Arc::new(Changelog::new(0, 0));
+        // No reader is blocked: appends signal nothing.
+        for _ in 0..100 {
+            log.append(rec("quiet"));
+        }
+        assert_eq!(log.stats().wakeups, 0);
+        let reader = {
+            let log = log.clone();
+            std::thread::spawn(move || log.wait(100, Duration::from_secs(3600)))
+        };
+        // Append only once the reader is registered, so the wake-up is
+        // the one thing that can end its wait.
+        while log.lock().waiters == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        log.append(rec("loud"));
+        assert!(reader.join().unwrap());
+        assert_eq!(log.stats().wakeups, 1);
+        log.append(rec("quiet again"));
+        assert_eq!(log.stats().wakeups, 1);
     }
 
     #[test]

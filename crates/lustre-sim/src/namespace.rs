@@ -1091,6 +1091,14 @@ impl MdtHandle {
         Ok(self.changelog.read(since, max))
     }
 
+    /// Block until this MDT's changelog holds a record newer than
+    /// `since` or `timeout` elapses; returns whether it does (see
+    /// [`Changelog::wait`]). A collector with nothing to read parks
+    /// here instead of polling.
+    pub fn wait_changelog(&self, since: u64, timeout: std::time::Duration) -> bool {
+        self.changelog.wait(since, timeout)
+    }
+
     /// Clear records up to `up_to` for `user`.
     pub fn clear_changelog(&self, user: crate::changelog::ChangelogUser, up_to: u64) {
         self.changelog.clear(user, up_to)

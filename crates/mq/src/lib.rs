@@ -40,6 +40,7 @@ pub mod pushpull;
 pub mod registry;
 pub mod reqrep;
 pub mod ring;
+pub mod signal;
 pub mod tcp;
 
 pub use endpoint::Endpoint;
@@ -49,6 +50,7 @@ pub use pushpull::{PullSocket, PushSocket};
 pub use registry::Context;
 pub use reqrep::{Incoming, RepSocket, ReqSocket};
 pub use ring::{BroadcastRing, RingCursor, RingPoll};
+pub use signal::ArrivalSignal;
 
 /// Errors surfaced by socket operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

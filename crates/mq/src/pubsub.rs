@@ -10,6 +10,7 @@ use crate::endpoint::Endpoint;
 use crate::message::Message;
 use crate::registry::{Context, InprocBinding};
 use crate::ring::{BroadcastRing, RingCursor, RingPoll};
+use crate::signal::ArrivalSignal;
 use crate::tcp::{read_frame, spawn_listener, write_encoded, write_frame};
 use crate::MqError;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
@@ -18,7 +19,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Default per-subscriber high-water mark (messages).
@@ -117,10 +118,29 @@ impl Drop for PrefixSet {
     }
 }
 
+/// The producer side of a SUB socket's queue, shared by everything
+/// that enqueues into it (inproc publishers, TCP reader threads).
+struct QueueTx {
+    tx: Sender<Message>,
+    /// Bumped after every enqueue once the socket's owner asked for it
+    /// ([`SubSocket::notify_arrivals`]); one atomic load otherwise.
+    arrivals: OnceLock<Arc<ArrivalSignal>>,
+}
+
+impl QueueTx {
+    fn try_send(&self, msg: Message) -> Result<(), TrySendError<Message>> {
+        self.tx.try_send(msg)?;
+        if let Some(signal) = self.arrivals.get() {
+            signal.bump();
+        }
+        Ok(())
+    }
+}
+
 /// One subscriber attachment (inproc).
 pub(crate) struct SubEntry {
     prefixes: PrefixSet,
-    sender: Sender<Message>,
+    sender: Arc<QueueTx>,
     alive: AtomicBool,
     dropped: AtomicU64,
     /// Set when a pushed-down filter is registered: the entry then
@@ -887,7 +907,7 @@ impl SubAttachment {
 pub struct SubSocket {
     ctx: Context,
     hwm: usize,
-    queue_tx: Sender<Message>,
+    queue_tx: Arc<QueueTx>,
     queue_rx: Receiver<Message>,
     attachments: Mutex<Vec<SubAttachment>>,
     prefixes: Mutex<Vec<Vec<u8>>>,
@@ -904,11 +924,14 @@ impl SubSocket {
 
     /// Create with an explicit high-water mark.
     pub fn with_hwm(ctx: Context, hwm: usize) -> SubSocket {
-        let (queue_tx, queue_rx) = bounded(hwm);
+        let (tx, queue_rx) = bounded(hwm);
         SubSocket {
             ctx,
             hwm,
-            queue_tx,
+            queue_tx: Arc::new(QueueTx {
+                tx,
+                arrivals: OnceLock::new(),
+            }),
             queue_rx,
             attachments: Mutex::new(Vec::new()),
             prefixes: Mutex::new(Vec::new()),
@@ -1048,6 +1071,15 @@ impl SubSocket {
                 }
             }
         }
+    }
+
+    /// Bump `signal` after every message this socket enqueues from now
+    /// on, over current and future attachments alike, so one reader can
+    /// sleep on several sockets (see [`ArrivalSignal`]). A socket
+    /// reports to one signal for life: returns `false`, changing
+    /// nothing, if another one is already installed.
+    pub fn notify_arrivals(&self, signal: Arc<ArrivalSignal>) -> bool {
+        self.queue_tx.arrivals.set(signal).is_ok()
     }
 
     /// Receive, blocking up to `timeout`.

@@ -16,32 +16,45 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> automation stress (100 runs under CPU contention)"
+echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs)"
 # Tier-1 must be green every run, not most runs. Two spinner processes
 # take the cores away from the pipeline's threads at arbitrary points,
 # which is what turned the resolver-pool race into a 1-in-4 failure of
-# coalesced_stream_leaves_catalog_in_same_state; a single failure in
-# 100 runs of the integration binary fails the gate.
-automation_bin="$(cargo test -q -p fsmon-integration --test automation --no-run \
-    --message-format=json 2>/dev/null |
-    sed -n 's/.*"executable":"\([^"]*\/automation-[^"]*\)".*/\1/p' | tail -1)"
+# coalesced_stream_leaves_catalog_in_same_state. The chaos binary rides
+# along because its restart assertions depend on work-driven fault
+# rolls: an injected collector crash is rolled per productive step, so
+# whether a seeded plan reaches its first hit must not depend on how the
+# scheduler sliced the records into steps. A single failure of either
+# integration binary fails the gate.
+test_bin() {
+    cargo test -q -p fsmon-integration --test "$1" --no-run \
+        --message-format=json 2>/dev/null |
+        sed -n 's/.*"executable":"\([^"]*\/'"$1"'-[^"]*\)".*/\1/p' | tail -1
+}
+automation_bin="$(test_bin automation)"
+chaos_bin="$(test_bin chaos)"
 test -x "$automation_bin"
+test -x "$chaos_bin"
 spinners=()
 for _ in 1 2; do
     (while :; do :; done) &
     spinners+=("$!")
 done
 trap 'kill "${spinners[@]}" 2>/dev/null || true' EXIT
-for run in $(seq 1 100); do
-    if ! "$automation_bin" -q >target/automation.stress.log 2>&1; then
-        echo "FAIL: automation run ${run}/100 failed under contention:"
-        cat target/automation.stress.log
-        exit 1
-    fi
-done
+stress() { # name binary runs
+    for run in $(seq 1 "$3"); do
+        if ! "$2" -q >"target/$1.stress.log" 2>&1; then
+            echo "FAIL: $1 run ${run}/$3 failed under contention:"
+            cat "target/$1.stress.log"
+            exit 1
+        fi
+    done
+    echo "    $1 $3/$3 green"
+}
+stress automation "$automation_bin" 100
+stress chaos "$chaos_bin" 20
 kill "${spinners[@]}" 2>/dev/null || true
 trap - EXIT
-echo "    100/100 green"
 
 echo "==> benchmark smoke (every workload at 1/20 size, correctness only)"
 # benchmark/ is the repository's one benchmark (BENCHMARK.json); the

@@ -50,6 +50,10 @@ fn drain_all(monitor: ScalableMonitor) -> Vec<u64> {
 fn killed_collector_resumes_from_cursor_exactly_once() {
     let dir = tmpdir("cursor");
     let fs = LustreFs::new(LustreConfig::small());
+    // The crash point is rolled once per productive collector step,
+    // and 1200 records in batches of at most 16 are at least 75 of
+    // them however the scheduler slices the stream: this seeded plan's
+    // first hit is roll 33, so the restart below always happens.
     let faults = FaultPlan::new(23)
         .with(
             FaultPoint::CollectorCrash,
