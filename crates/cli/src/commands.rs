@@ -776,10 +776,11 @@ fn write_stats_summary(snap: &fsmon_telemetry::Snapshot, out: &mut dyn Write) {
     let misses = snap.counter("fsmon_fid2path_misses_total");
     let _ = writeln!(
         out,
-        "collector : {} records, {} events, {} idle wake-ups",
+        "collector : {} records, {} events, {} idle wake-ups, {} held steps",
         snap.counter("fsmon_collector_records_total"),
         snap.counter("fsmon_collector_events_total"),
         snap.counter("fsmon_collector_idle_wakeups_total"),
+        snap.counter("fsmon_collector_held_steps_total"),
     );
     let _ = writeln!(
         out,
@@ -803,12 +804,25 @@ fn write_stats_summary(snap: &fsmon_telemetry::Snapshot, out: &mut dyn Write) {
         prefetch.quantile(0.99),
         snap.counter("fsmon_fid2path_cache_flushes_total"),
     );
+    // TCP subscription handshakes: how long a subscribing call waited
+    // for its acknowledgement, and how many gave up waiting.
+    let sync = snap
+        .histogram("fsmon_mq_subscribe_sync_ns")
+        .unwrap_or_else(fsmon_telemetry::HistogramSnapshot::empty);
     let _ = writeln!(
         out,
-        "mq        : {} published, {} hwm-dropped, {} tcp frames",
+        "mq        : {} published, {} hwm-dropped, {} tcp frames, {} malformed frames",
         snap.counter("fsmon_mq_published_total"),
         snap.counter("fsmon_mq_hwm_dropped_total"),
         snap.counter("fsmon_mq_tcp_frames_total"),
+        snap.counter("fsmon_mq_malformed_frames_total"),
+    );
+    let _ = writeln!(
+        out,
+        "            {} tcp subscribe syncs, p50 {} ns, {} timed out",
+        sync.count(),
+        sync.quantile(0.5),
+        snap.counter("fsmon_mq_subscribe_sync_timeouts_total"),
     );
     let _ = writeln!(
         out,

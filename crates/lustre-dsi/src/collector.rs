@@ -38,6 +38,10 @@ pub struct CollectorStats {
     pub cache_misses: u64,
     /// Events that terminated as `ParentDirectoryRemoved`.
     pub parent_dir_removed: u64,
+    /// Steps skipped because no live subscriber matched this
+    /// collector's topic (`fsmon_collector_held_steps_total{mdt}`): the
+    /// records stayed in the changelog.
+    pub held_steps: u64,
     /// Current cache entry count.
     pub cache_entries: usize,
     /// Estimated collector memory: cache entries × mean mapping size.
@@ -302,6 +306,7 @@ pub struct Collector {
     /// Changelog clear (purge) latency per step (ns).
     t_purge_ns: Arc<fsmon_telemetry::Histogram>,
     t_read_errors: std::sync::Arc<fsmon_telemetry::Counter>,
+    t_held_steps: Arc<fsmon_telemetry::Counter>,
     t_purge_errors: std::sync::Arc<fsmon_telemetry::Counter>,
     /// Traces forced by the tail-bias threshold (batch latency crossed
     /// the tracer's threshold while the uniform sampler would skip).
@@ -349,6 +354,7 @@ impl Collector {
             t_read_ns: scope.histogram("read_ns"),
             t_purge_ns: scope.histogram("purge_ns"),
             t_read_errors: scope.counter("read_errors_total"),
+            t_held_steps: scope.counter("held_steps_total"),
             t_purge_errors: scope.counter("purge_errors_total"),
             t_forced_traces: scope.counter("forced_traces_total"),
         }
@@ -466,6 +472,8 @@ impl Collector {
             // control frames land, and publishing into that window
             // would purge the only copy of the batch.
             if !publisher.has_subscriber_matching(&self.topic) {
+                self.stats.held_steps += 1;
+                self.t_held_steps.inc();
                 return Vec::new();
             }
         }
@@ -1523,6 +1531,7 @@ mod tests {
         // No subscriber yet: the collector must hold, not consume.
         assert!(c.step().is_empty());
         assert_eq!(c.backlog(), 1, "record retained while aggregator is away");
+        assert_eq!(c.stats().held_steps, 1);
         // Aggregator (subscriber) arrives: the batch flows.
         let sub = ctx.subscriber();
         sub.connect("inproc://hold-test").unwrap();
@@ -1530,6 +1539,7 @@ mod tests {
         let events = c.step();
         assert_eq!(events.len(), 1);
         assert_eq!(c.backlog(), 0);
+        assert_eq!(c.stats().held_steps, 1, "a productive step is not held");
         assert!(sub.recv_timeout(std::time::Duration::from_secs(1)).is_ok());
     }
 

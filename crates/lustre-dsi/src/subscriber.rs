@@ -294,10 +294,11 @@ impl FilteredConsumer {
     /// Connect to the aggregator's consumer endpoint and push `spec`
     /// down to it. `name` labels this subscriber's telemetry.
     ///
-    /// Over TCP the filter registration is carried by a control frame
-    /// the publisher processes asynchronously — batches sequenced
-    /// before it lands produce no class frames for this subscriber.
-    /// Those events are not lost: the watermark starts at 0, so
+    /// On either transport the class is registered with the publisher
+    /// when this returns (over TCP the `CTRL_FILTER` control frame is
+    /// acknowledged), so batches sequenced from then on produce class
+    /// frames for this subscriber. What was sequenced earlier is not
+    /// lost: the watermark starts at 0, so
     /// [`catch_up`](FilteredConsumer::catch_up) recovers the entire
     /// filtered prefix from the reliable store.
     pub fn connect(

@@ -17,6 +17,10 @@
 //!   ([`Message`]).
 //! * **Transports** — `inproc://name` (lock-free channels within a
 //!   process) and `tcp://host:port` (length-prefixed frames over TCP).
+//!   On both, connected means subscribed: a SUB's `connect`,
+//!   `subscribe`, `unsubscribe` and `subscribe_filter` return once the
+//!   publisher has applied them (over TCP, acknowledged them), so the
+//!   next `send` is delivered with no settling time in between.
 //!
 //! ```
 //! use fsmon_mq::{Context, Message};

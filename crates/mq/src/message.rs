@@ -91,7 +91,9 @@ impl Message {
             return None;
         }
         let count = buf.get_u32();
-        if count > 1 << 20 {
+        // Every part costs at least its four length bytes, so a count
+        // the buffer cannot hold is refused before it sizes anything.
+        if count > 1 << 20 || count as usize > buf.remaining() / 4 {
             return None;
         }
         let mut parts = Vec::with_capacity(count as usize);

@@ -5,13 +5,24 @@
 //! high-water mark loses the newest messages (the PUB never blocks);
 //! filtering happens publisher-side, including over TCP, where the SUB
 //! forwards its subscription list as control frames.
+//!
+//! Connected means subscribed, on either transport. Inproc attachments
+//! register under the publisher's own locks. Over TCP every call that
+//! changes what a socket is subscribed to ends with a `CTRL_SYNC`
+//! frame, and returns when the publisher has acknowledged it: the
+//! publisher reads a connection's control frames on one thread, in
+//! order, so its acknowledgement means every earlier frame has been
+//! applied.
 
 use crate::endpoint::Endpoint;
 use crate::message::Message;
 use crate::registry::{Context, InprocBinding};
 use crate::ring::{BroadcastRing, RingCursor, RingPoll};
 use crate::signal::ArrivalSignal;
-use crate::tcp::{read_frame, spawn_listener, write_encoded, write_frame};
+use crate::tcp::{
+    count_malformed, read_frame, read_message, spawn_listener, write_encoded, write_frame,
+    write_sync_ack, Frame, ListenerGuard,
+};
 use crate::MqError;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use fsmon_faults::{FaultPoint, Faults};
@@ -19,7 +30,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Default per-subscriber high-water mark (messages).
@@ -48,6 +59,25 @@ const CTRL_UNSUBSCRIBE: u8 = 0;
 /// (`fsmon-rules` owns the grammar). A connection with a filter
 /// registered receives that class's frames and nothing else.
 const CTRL_FILTER: u8 = 2;
+/// Control frame asking for an acknowledgement: the payload is an
+/// eight-byte token the publisher echoes once every earlier control
+/// frame of the connection has been applied.
+const CTRL_SYNC: u8 = 3;
+
+/// Longest a subscribing call waits for its acknowledgement. A
+/// publisher answers in one round trip; only a peer that is not one of
+/// ours, or is wedged, takes this long.
+const SYNC_BOUND: Duration = Duration::from_secs(5);
+
+/// What a TCP subscriber's writer thread puts on the wire.
+enum Outbound {
+    /// A pre-encoded message (the output of [`Message::encode`]).
+    Frame(bytes::Bytes),
+    /// The acknowledgement of a `CTRL_SYNC`, by token. It queues behind
+    /// the frames published before it, so a peer that has seen the ack
+    /// has seen everything the superseded subscription still matched.
+    SyncAck(u64),
+}
 
 /// A lock-free snapshot of a subscriber's prefix list.
 ///
@@ -160,8 +190,8 @@ impl SubEntry {
 /// or wedged peer cannot stall the publisher (or the other
 /// subscribers) behind a blocking `write`.
 struct TcpSubConn {
-    /// Pre-encoded frames awaiting the writer thread.
-    frame_tx: Sender<bytes::Bytes>,
+    /// Pre-encoded frames (and acks) awaiting the writer thread.
+    frame_tx: Sender<Outbound>,
     /// Kept only for shutdown (injected disconnects, slow-subscriber
     /// eviction); data writes happen on the writer thread's own clone.
     stream: Mutex<TcpStream>,
@@ -385,7 +415,7 @@ impl FilterClass {
                     continue;
                 }
                 let frame = encoded.get_or_insert_with(|| msg.encode()).clone();
-                match conn.frame_tx.try_send(frame) {
+                match conn.frame_tx.try_send(Outbound::Frame(frame)) {
                     Ok(()) => {
                         depth = depth.max(conn.frame_tx.len());
                     }
@@ -534,6 +564,34 @@ impl PubCore {
         self.filter_generation.fetch_add(1, Ordering::Release);
     }
 
+    /// Apply one control frame sent by `conn`'s peer. The connection's
+    /// one reader thread calls this frame by frame, so the ack a
+    /// `CTRL_SYNC` queues is proof that everything sent before it has
+    /// taken effect. A frame that makes no sense is counted and
+    /// ignored.
+    fn apply_control(&self, conn: &Arc<TcpSubConn>, frame: &[u8]) {
+        match frame.split_first() {
+            Some((&CTRL_SUBSCRIBE, prefix)) => conn.prefixes.push(prefix.to_vec()),
+            Some((&CTRL_UNSUBSCRIBE, prefix)) => conn.prefixes.remove(prefix),
+            Some((&CTRL_FILTER, key)) => match std::str::from_utf8(key) {
+                Ok(key) => self.register_tcp_filter(conn, key),
+                Err(_) => count_malformed(),
+            },
+            Some((&CTRL_SYNC, token)) => match token.try_into() {
+                // A blocking send: the ack is exempt from drop-newest
+                // and waits for room behind the data already queued.
+                // It fails only once the writer thread is gone.
+                Ok(token) => {
+                    let _ = conn
+                        .frame_tx
+                        .send(Outbound::SyncAck(u64::from_be_bytes(token)));
+                }
+                Err(_) => count_malformed(),
+            },
+            _ => count_malformed(),
+        }
+    }
+
     fn register_inproc_filter(&self, entry: &Arc<SubEntry>, key: &str) {
         let class = self.class(key, DEFAULT_CLASS_RING);
         entry.filtered.store(true, Ordering::Relaxed);
@@ -604,7 +662,7 @@ impl PubCore {
                     continue;
                 }
                 let frame = encoded.get_or_insert_with(|| msg.encode()).clone();
-                match conn.frame_tx.try_send(frame) {
+                match conn.frame_tx.try_send(Outbound::Frame(frame)) {
                     Ok(()) => {
                         conn.stalled.store(0, Ordering::Relaxed);
                         self.sent.fetch_add(1, Ordering::Relaxed);
@@ -653,8 +711,7 @@ pub struct PubSocket {
     ctx: Context,
     core: Arc<PubCore>,
     bound_inproc: Mutex<Vec<String>>,
-    listener_alive: Arc<AtomicBool>,
-    bound_tcp: Mutex<Option<std::net::SocketAddr>>,
+    listeners: Mutex<Vec<ListenerGuard>>,
 }
 
 impl PubSocket {
@@ -663,8 +720,7 @@ impl PubSocket {
             ctx,
             core: Arc::new(PubCore::default()),
             bound_inproc: Mutex::new(Vec::new()),
-            listener_alive: Arc::new(AtomicBool::new(true)),
-            bound_tcp: Mutex::new(None),
+            listeners: Mutex::new(Vec::new()),
         }
     }
 
@@ -679,8 +735,8 @@ impl PubSocket {
             }
             Endpoint::Tcp(addr) => {
                 let core = self.core.clone();
-                let local = spawn_listener(&addr, self.listener_alive.clone(), move |stream| {
-                    let (frame_tx, frame_rx) = bounded::<bytes::Bytes>(TCP_WRITER_QUEUE);
+                let listener = spawn_listener(&addr, move |stream| {
+                    let (frame_tx, frame_rx) = bounded::<Outbound>(TCP_WRITER_QUEUE);
                     let conn = Arc::new(TcpSubConn {
                         frame_tx,
                         stream: Mutex::new(stream.try_clone().expect("clone stream")),
@@ -698,8 +754,12 @@ impl PubSocket {
                     let mut writer = stream.try_clone().expect("clone stream");
                     std::thread::spawn(move || loop {
                         match frame_rx.recv_timeout(Duration::from_millis(100)) {
-                            Ok(frame) => {
-                                if write_encoded(&mut writer, &frame).is_err() {
+                            Ok(out) => {
+                                let written = match out {
+                                    Outbound::Frame(frame) => write_encoded(&mut writer, &frame),
+                                    Outbound::SyncAck(token) => write_sync_ack(&mut writer, token),
+                                };
+                                if written.is_err() {
                                     writer_conn.alive.store(false, Ordering::Relaxed);
                                     break;
                                 }
@@ -716,27 +776,14 @@ impl PubSocket {
                     let mut reader = stream;
                     let ctrl_core = core.clone();
                     std::thread::spawn(move || {
-                        while let Some(ctrl) = read_frame(&mut reader) {
-                            let frame = ctrl.topic().to_vec();
-                            if frame.is_empty() {
-                                continue;
-                            }
-                            match frame[0] {
-                                CTRL_SUBSCRIBE => conn.prefixes.push(frame[1..].to_vec()),
-                                CTRL_UNSUBSCRIBE => conn.prefixes.remove(&frame[1..]),
-                                CTRL_FILTER => {
-                                    if let Ok(key) = std::str::from_utf8(&frame[1..]) {
-                                        ctrl_core.register_tcp_filter(&conn, key);
-                                    }
-                                }
-                                _ => {}
-                            }
+                        while let Some(ctrl) = read_message(&mut reader) {
+                            ctrl_core.apply_control(&conn, ctrl.topic());
                         }
                         conn.alive.store(false, Ordering::Relaxed);
                     });
                 })
                 .map_err(|e| MqError::BindFailed(e.to_string()))?;
-                *self.bound_tcp.lock() = Some(local);
+                self.listeners.lock().push(listener);
                 Ok(())
             }
         }
@@ -744,7 +791,7 @@ impl PubSocket {
 
     /// The TCP address actually bound (useful with port 0).
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        *self.bound_tcp.lock()
+        self.listeners.lock().last().map(ListenerGuard::local_addr)
     }
 
     /// Publish a message to all matching subscribers. Never blocks on a
@@ -867,9 +914,106 @@ impl PubSocket {
 
 impl Drop for PubSocket {
     fn drop(&mut self) {
-        self.listener_alive.store(false, Ordering::Relaxed);
         for name in self.bound_inproc.lock().drain(..) {
             self.ctx.unregister(&name);
+        }
+    }
+}
+
+/// The subscriber's end of one TCP attachment, shared with the thread
+/// that reads it.
+struct TcpLink {
+    /// The write half, for control frames, and the last sync token sent
+    /// on it. One lock, so tokens reach the wire in the order they were
+    /// drawn and an ack for token `n` covers every frame sent before it.
+    ctrl: Mutex<(TcpStream, u64)>,
+    /// Cleared when the reader thread ends (EOF, reset, a malformed
+    /// frame) or the socket is dropped.
+    alive: AtomicBool,
+    /// Highest token the publisher has acknowledged.
+    acked: std::sync::Mutex<u64>,
+    ack_arrived: Condvar,
+}
+
+/// A `CTRL_SYNC` that is on the wire and not yet known to be answered.
+struct PendingAck {
+    link: Arc<TcpLink>,
+    token: u64,
+}
+
+fn control_frame(kind: u8, payload: &[u8]) -> Message {
+    let mut frame = Vec::with_capacity(1 + payload.len());
+    frame.push(kind);
+    frame.extend_from_slice(payload);
+    Message::single(frame)
+}
+
+impl TcpLink {
+    /// `acked` is a plain number, valid after any panic.
+    fn acked(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.acked.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Send `frames`, then a `CTRL_SYNC` behind them. A write error
+    /// closes the link.
+    fn send_synced(self: &Arc<Self>, frames: &[Message]) -> std::io::Result<PendingAck> {
+        let mut ctrl = self.ctrl.lock();
+        let (stream, last_token) = &mut *ctrl;
+        *last_token += 1;
+        let token = *last_token;
+        let sync = control_frame(CTRL_SYNC, &token.to_be_bytes());
+        let sent = frames
+            .iter()
+            .chain([&sync])
+            .try_for_each(|frame| write_frame(stream, frame));
+        drop(ctrl);
+        match sent {
+            Ok(()) => Ok(PendingAck {
+                link: self.clone(),
+                token,
+            }),
+            Err(e) => {
+                self.close();
+                Err(e)
+            }
+        }
+    }
+
+    /// The reader thread saw the ack for `token`.
+    fn ack(&self, token: u64) {
+        let mut acked = self.acked();
+        *acked = (*acked).max(token);
+        drop(acked);
+        self.ack_arrived.notify_all();
+    }
+
+    /// Mark the link dead, hang up, and release anyone waiting on it.
+    fn close(&self) {
+        self.alive.store(false, Ordering::Relaxed);
+        let _ = self.ctrl.lock().0.shutdown(std::net::Shutdown::Both);
+        // Under the lock a waiter checks `alive` under, so the wake-up
+        // cannot fall between its check and its wait.
+        let _acked = self.acked();
+        self.ack_arrived.notify_all();
+    }
+
+    /// Block until `token` is acknowledged. False when the link died
+    /// first or `deadline` passed.
+    fn wait_acked(&self, token: u64, deadline: Instant) -> bool {
+        let mut acked = self.acked();
+        loop {
+            if *acked >= token {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || !self.alive.load(Ordering::Relaxed) {
+                return false;
+            }
+            acked = self
+                .ack_arrived
+                .wait_timeout(acked, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 }
@@ -881,8 +1025,7 @@ enum SubAttachment {
         endpoint: String,
     },
     Tcp {
-        stream: Mutex<TcpStream>,
-        alive: Arc<AtomicBool>,
+        link: Arc<TcpLink>,
         endpoint: String,
     },
 }
@@ -891,7 +1034,7 @@ impl SubAttachment {
     fn alive(&self) -> bool {
         match self {
             SubAttachment::Inproc { entry, .. } => entry.alive.load(Ordering::Relaxed),
-            SubAttachment::Tcp { alive, .. } => alive.load(Ordering::Relaxed),
+            SubAttachment::Tcp { link, .. } => link.alive.load(Ordering::Relaxed),
         }
     }
 
@@ -915,6 +1058,10 @@ pub struct SubSocket {
     /// [`subscribe_filter`](SubSocket::subscribe_filter); re-forwarded
     /// on connect/reconnect like prefixes.
     filter_specs: Mutex<Vec<String>>,
+    /// Longest a subscribing call waits for its TCP acknowledgements.
+    sync_bound: Duration,
+    t_sync_ns: Arc<fsmon_telemetry::Histogram>,
+    t_sync_timeouts: Arc<fsmon_telemetry::Counter>,
 }
 
 impl SubSocket {
@@ -924,7 +1071,14 @@ impl SubSocket {
 
     /// Create with an explicit high-water mark.
     pub fn with_hwm(ctx: Context, hwm: usize) -> SubSocket {
+        Self::with_sync_bound(ctx, hwm, SYNC_BOUND)
+    }
+
+    /// [`with_hwm`](SubSocket::with_hwm), for a test that cannot wait
+    /// out [`SYNC_BOUND`] on a peer that never answers.
+    pub(crate) fn with_sync_bound(ctx: Context, hwm: usize, sync_bound: Duration) -> SubSocket {
         let (tx, queue_rx) = bounded(hwm);
+        let scope = fsmon_telemetry::root().scope("mq");
         SubSocket {
             ctx,
             hwm,
@@ -936,7 +1090,59 @@ impl SubSocket {
             attachments: Mutex::new(Vec::new()),
             prefixes: Mutex::new(Vec::new()),
             filter_specs: Mutex::new(Vec::new()),
+            sync_bound,
+            t_sync_ns: scope.histogram("subscribe_sync_ns"),
+            t_sync_timeouts: scope.counter("subscribe_sync_timeouts_total"),
         }
+    }
+
+    /// Wait until the publishers have answered every sync in `pending`
+    /// (sent since `started`), or the bound has passed. Returns whether
+    /// all of them did; a live link that stayed silent is counted in
+    /// `fsmon_mq_subscribe_sync_timeouts_total`.
+    fn await_acks(&self, started: Instant, pending: &[PendingAck]) -> bool {
+        if pending.is_empty() {
+            return true;
+        }
+        let deadline = started + self.sync_bound;
+        let mut all = true;
+        for p in pending {
+            if !p.link.wait_acked(p.token, deadline) {
+                all = false;
+                if p.link.alive.load(Ordering::Relaxed) {
+                    self.t_sync_timeouts.inc();
+                }
+            }
+        }
+        self.t_sync_ns.record(started.elapsed().as_nanos() as u64);
+        all
+    }
+
+    /// Apply one subscription change to every live attachment: inproc
+    /// entries in place, TCP peers by `kind | payload` control frame —
+    /// and return once every TCP peer has acknowledged it.
+    fn change_subscription(
+        &self,
+        kind: u8,
+        payload: &[u8],
+        inproc: impl Fn(&Arc<SubEntry>, &Arc<PubCore>),
+    ) {
+        let started = Instant::now();
+        let frame = [control_frame(kind, payload)];
+        let mut pending = Vec::new();
+        for att in self.attachments.lock().iter() {
+            match att {
+                SubAttachment::Inproc { entry, core, .. } => inproc(entry, core),
+                SubAttachment::Tcp { link, .. } => {
+                    if att.alive() {
+                        pending.extend(link.send_synced(&frame).ok());
+                    }
+                }
+            }
+        }
+        // Outside the attachments lock: `disconnected()` and `dropped()`
+        // stay answerable while a slow peer makes up its mind.
+        self.await_acks(started, &pending);
     }
 
     /// Connect to a PUB endpoint. A SUB may connect to many publishers
@@ -969,50 +1175,55 @@ impl SubSocket {
                 Ok(())
             }
             Endpoint::Tcp(addr) => {
-                let stream = TcpStream::connect(&addr)
-                    .map_err(|e| MqError::ConnectFailed(format!("{addr}: {e}")))?;
+                let failed =
+                    |e: &dyn std::fmt::Display| MqError::ConnectFailed(format!("{addr}: {e}"));
+                let stream = TcpStream::connect(&addr).map_err(|e| failed(&e))?;
                 stream.set_nodelay(true).ok();
-                let alive = Arc::new(AtomicBool::new(true));
-                // Reader thread: decode data frames into the local queue.
-                let mut reader = stream
-                    .try_clone()
-                    .map_err(|e| MqError::ConnectFailed(e.to_string()))?;
+                let mut reader = stream.try_clone().map_err(|e| failed(&e))?;
+                let link = Arc::new(TcpLink {
+                    ctrl: Mutex::new((stream, 0)),
+                    alive: AtomicBool::new(true),
+                    acked: std::sync::Mutex::new(0),
+                    ack_arrived: Condvar::new(),
+                });
+                // Reader thread: data frames go to the local queue, acks
+                // to whoever waits on the link. An ack is not a message:
+                // it never touches the queue, its HWM or the arrival
+                // signal.
                 let queue = self.queue_tx.clone();
-                let alive_r = alive.clone();
+                let link_r = link.clone();
                 std::thread::spawn(move || {
-                    while alive_r.load(Ordering::Relaxed) {
+                    while link_r.alive.load(Ordering::Relaxed) {
                         match read_frame(&mut reader) {
-                            Some(msg) => {
+                            Some(Frame::Message(msg)) => {
                                 // HWM: drop newest on overflow, like the
                                 // inproc path.
                                 let _ = queue.try_send(msg);
                             }
+                            Some(Frame::SyncAck(token)) => link_r.ack(token),
                             None => break,
                         }
                     }
+                    link_r.close();
                 });
                 // Forward current subscriptions (prefixes and
-                // pushed-down filters alike).
-                {
-                    let mut s = stream
-                        .try_clone()
-                        .map_err(|e| MqError::ConnectFailed(e.to_string()))?;
-                    for prefix in self.prefixes.lock().iter() {
-                        let mut frame = vec![CTRL_SUBSCRIBE];
-                        frame.extend_from_slice(prefix);
-                        write_frame(&mut s, &Message::single(frame))
-                            .map_err(|e| MqError::ConnectFailed(e.to_string()))?;
-                    }
-                    for spec in self.filter_specs.lock().iter() {
-                        let mut frame = vec![CTRL_FILTER];
-                        frame.extend_from_slice(spec.as_bytes());
-                        write_frame(&mut s, &Message::single(frame))
-                            .map_err(|e| MqError::ConnectFailed(e.to_string()))?;
-                    }
+                // pushed-down filters alike) and wait for the publisher
+                // to have applied them.
+                let started = Instant::now();
+                let mut frames: Vec<Message> = Vec::new();
+                for prefix in self.prefixes.lock().iter() {
+                    frames.push(control_frame(CTRL_SUBSCRIBE, prefix));
+                }
+                for spec in self.filter_specs.lock().iter() {
+                    frames.push(control_frame(CTRL_FILTER, spec.as_bytes()));
+                }
+                let pending = link.send_synced(&frames).map_err(|e| failed(&e))?;
+                if !self.await_acks(started, &[pending]) {
+                    link.close();
+                    return Err(failed(&"subscription not acknowledged"));
                 }
                 self.attachments.lock().push(SubAttachment::Tcp {
-                    stream: Mutex::new(stream),
-                    alive,
+                    link,
                     endpoint: endpoint.to_string(),
                 });
                 Ok(())
@@ -1020,34 +1231,24 @@ impl SubSocket {
         }
     }
 
-    /// Subscribe to a topic prefix (empty = everything).
+    /// Subscribe to a topic prefix (empty = everything). When this
+    /// returns, every live publisher — TCP ones included — delivers
+    /// matching messages sent from now on.
     pub fn subscribe(&self, prefix: &[u8]) {
         self.prefixes.lock().push(prefix.to_vec());
-        for att in self.attachments.lock().iter() {
-            match att {
-                SubAttachment::Inproc { entry, .. } => entry.prefixes.push(prefix.to_vec()),
-                SubAttachment::Tcp { stream, .. } => {
-                    let mut frame = vec![CTRL_SUBSCRIBE];
-                    frame.extend_from_slice(prefix);
-                    let _ = write_frame(&mut stream.lock(), &Message::single(frame));
-                }
-            }
-        }
+        self.change_subscription(CTRL_SUBSCRIBE, prefix, |entry, _| {
+            entry.prefixes.push(prefix.to_vec())
+        });
     }
 
-    /// Remove a previously added prefix.
+    /// Remove a previously added prefix. A message that only this
+    /// prefix matched, sent after this returns, is never delivered, and
+    /// the ones sent before are already in the queue.
     pub fn unsubscribe(&self, prefix: &[u8]) {
         self.prefixes.lock().retain(|p| p != prefix);
-        for att in self.attachments.lock().iter() {
-            match att {
-                SubAttachment::Inproc { entry, .. } => entry.prefixes.remove(prefix),
-                SubAttachment::Tcp { stream, .. } => {
-                    let mut frame = vec![CTRL_UNSUBSCRIBE];
-                    frame.extend_from_slice(prefix);
-                    let _ = write_frame(&mut stream.lock(), &Message::single(frame));
-                }
-            }
-        }
+        self.change_subscription(CTRL_UNSUBSCRIBE, prefix, |entry, _| {
+            entry.prefixes.remove(prefix)
+        });
     }
 
     /// Push a filter down to the publisher: register this socket in the
@@ -1056,21 +1257,13 @@ impl SubSocket {
     /// receives that class's frames *instead of* raw topic fan-out;
     /// dropped class frames surface as class-sequence gaps the consumer
     /// heals from the event store, and a filtered peer is never
-    /// disconnected for slowness.
+    /// disconnected for slowness. The registration is in place on
+    /// every live publisher when this returns.
     pub fn subscribe_filter(&self, spec: &str) {
         self.filter_specs.lock().push(spec.to_string());
-        for att in self.attachments.lock().iter() {
-            match att {
-                SubAttachment::Inproc { entry, core, .. } => {
-                    core.register_inproc_filter(entry, spec);
-                }
-                SubAttachment::Tcp { stream, .. } => {
-                    let mut frame = vec![CTRL_FILTER];
-                    frame.extend_from_slice(spec.as_bytes());
-                    let _ = write_frame(&mut stream.lock(), &Message::single(frame));
-                }
-            }
-        }
+        self.change_subscription(CTRL_FILTER, spec.as_bytes(), |entry, core| {
+            core.register_inproc_filter(entry, spec)
+        });
     }
 
     /// Bump `signal` after every message this socket enqueues from now
@@ -1162,10 +1355,7 @@ impl Drop for SubSocket {
         for att in self.attachments.lock().iter() {
             match att {
                 SubAttachment::Inproc { entry, .. } => entry.alive.store(false, Ordering::Relaxed),
-                SubAttachment::Tcp { alive, stream, .. } => {
-                    alive.store(false, Ordering::Relaxed);
-                    let _ = stream.lock().shutdown(std::net::Shutdown::Both);
-                }
+                SubAttachment::Tcp { link, .. } => link.close(),
             }
         }
     }
@@ -1174,6 +1364,7 @@ impl Drop for SubSocket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::malformed_frames;
 
     fn msg(topic: &str, payload: &str) -> Message {
         Message::from_parts(vec![topic.as_bytes().to_vec(), payload.as_bytes().to_vec()])
@@ -1335,8 +1526,6 @@ mod tests {
         let sub = ctx.subscriber();
         sub.connect(&format!("tcp://{addr}")).unwrap();
         sub.subscribe(b"events");
-        // Give the control frame a moment to land publisher-side.
-        std::thread::sleep(Duration::from_millis(100));
         publisher.send(msg("events.mdt0", "payload")).unwrap();
         publisher.send(msg("other", "nope")).unwrap();
         let m = sub.recv_timeout(Duration::from_secs(2)).unwrap();
@@ -1345,28 +1534,220 @@ mod tests {
         assert!(sub.try_recv().is_none());
     }
 
+    /// Connected means subscribed: no settling time anywhere between
+    /// bind, connect, subscribe and the first send.
+    #[test]
+    fn tcp_subscription_is_live_when_subscribe_returns() {
+        let ctx = Context::new();
+        for round in 0..200 {
+            let publisher = ctx.publisher();
+            publisher.bind("tcp://127.0.0.1:0").unwrap();
+            let sub = ctx.subscriber();
+            // Alternate the two orders a caller can use.
+            if round % 2 == 0 {
+                sub.connect(&format!("tcp://{}", publisher.local_addr().unwrap()))
+                    .unwrap();
+                sub.subscribe(b"t");
+            } else {
+                sub.subscribe(b"t");
+                sub.connect(&format!("tcp://{}", publisher.local_addr().unwrap()))
+                    .unwrap();
+            }
+            assert!(publisher.has_subscriber_matching(b"t"), "round {round}");
+            publisher.send(msg("t", "first")).unwrap();
+            let m = sub
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            assert_eq!(m.part(1), Some(&b"first"[..]));
+        }
+    }
+
+    /// `unsubscribe` is acknowledged too: what is sent after it returns
+    /// is never delivered.
+    #[test]
+    fn tcp_unsubscribe_is_synchronous() {
+        let ctx = Context::new();
+        let publisher = ctx.publisher();
+        publisher.bind("tcp://127.0.0.1:0").unwrap();
+        let sub = ctx.subscriber();
+        sub.connect(&format!("tcp://{}", publisher.local_addr().unwrap()))
+            .unwrap();
+        for round in 0..100 {
+            sub.subscribe(b"gone");
+            sub.unsubscribe(b"gone");
+            assert!(!publisher.has_subscriber_matching(b"gone"));
+            publisher.send(msg("gone", "never")).unwrap();
+            // Frames leave the publisher in order, so had "never" been
+            // queued for this peer it would arrive before "fence".
+            sub.subscribe(b"fence");
+            publisher.send(msg("fence", "x")).unwrap();
+            let m = sub.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert_eq!(m.topic(), b"fence", "round {round}");
+            sub.unsubscribe(b"fence");
+        }
+        assert!(sub.try_recv().is_none());
+    }
+
+    /// A peer that accepts and never answers is not a publisher: the
+    /// connect fails once the bound has passed, and says so by count.
+    #[test]
+    fn tcp_connect_to_a_silent_peer_fails_after_the_bound() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sub = SubSocket::with_sync_bound(Context::new(), 8, Duration::from_millis(50));
+        sub.subscribe(b"t");
+        let timeouts = sub.t_sync_timeouts.get();
+        let err = sub.connect(&format!("tcp://{addr}")).unwrap_err();
+        assert!(matches!(err, MqError::ConnectFailed(_)), "{err:?}");
+        assert!(sub.t_sync_timeouts.get() > timeouts);
+        assert!(!sub.disconnected(), "the failed link was never attached");
+        // The connection was really made, and the control frames sent.
+        let (mut peer, _) = listener.accept().unwrap();
+        assert_eq!(
+            read_message(&mut peer).unwrap().topic(),
+            [&[CTRL_SUBSCRIBE][..], b"t"].concat()
+        );
+    }
+
+    /// The ack is not a message: it never enters the queue, counts
+    /// against the HWM, or bumps the arrival signal.
+    #[test]
+    fn tcp_sync_acks_never_reach_the_queue() {
+        let ctx = Context::new();
+        let publisher = ctx.publisher();
+        publisher.bind("tcp://127.0.0.1:0").unwrap();
+        let sub = SubSocket::with_hwm(ctx, 4);
+        let signal = Arc::new(ArrivalSignal::new());
+        assert!(sub.notify_arrivals(signal.clone()));
+        sub.connect(&format!("tcp://{}", publisher.local_addr().unwrap()))
+            .unwrap();
+        let syncs = sub.t_sync_ns.snapshot().count();
+        for _ in 0..1000 {
+            sub.subscribe(b"t");
+            sub.unsubscribe(b"t");
+        }
+        assert_eq!(sub.queued(), 0);
+        assert_eq!(sub.dropped(), 0);
+        assert_eq!(publisher.stats(), (0, 0));
+        assert_eq!(signal.epoch(), 0, "an ack is not an arrival");
+        assert!(sub.t_sync_ns.snapshot().count() >= syncs + 2000);
+        // And the link still carries messages afterwards.
+        sub.subscribe(b"t");
+        publisher.send(msg("t", "x")).unwrap();
+        assert!(signal.wait_past(0, Duration::from_secs(2)), "a message is");
+        assert!(sub.try_recv().is_some());
+    }
+
+    /// Dropping a bound socket of any kind joins its listener thread,
+    /// so the port is closed by the time the drop returns.
+    #[test]
+    fn dropping_a_bound_tcp_socket_ends_its_listener() {
+        let ctx = Context::new();
+        let publisher = ctx.publisher();
+        let puller = ctx.puller();
+        let replier = ctx.replier();
+        publisher.bind("tcp://127.0.0.1:0").unwrap();
+        puller.bind("tcp://127.0.0.1:0").unwrap();
+        replier.bind("tcp://127.0.0.1:0").unwrap();
+        let addrs = [
+            publisher.local_addr().unwrap(),
+            puller.local_addr().unwrap(),
+            replier.local_addr().unwrap(),
+        ];
+        for addr in addrs {
+            assert!(TcpStream::connect(addr).is_ok(), "{addr} listening");
+        }
+        drop((publisher, puller, replier));
+        for addr in addrs {
+            assert!(TcpStream::connect(addr).is_err(), "{addr} still open");
+        }
+        assert!(matches!(
+            ctx.subscriber().connect(&format!("tcp://{}", addrs[0])),
+            Err(MqError::ConnectFailed(_))
+        ));
+    }
+
+    /// A publisher-side connection whose writer queue nobody drains.
+    fn undrained_conn(queue: usize) -> (Arc<TcpSubConn>, Receiver<Outbound>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (frame_tx, frame_rx) = bounded::<Outbound>(queue);
+        let conn = Arc::new(TcpSubConn {
+            frame_tx,
+            stream: Mutex::new(client),
+            prefixes: PrefixSet::new(Vec::new()),
+            alive: AtomicBool::new(true),
+            stalled: AtomicU64::new(0),
+            filter_key: Mutex::new(None),
+            degraded: AtomicBool::new(false),
+        });
+        (conn, frame_rx)
+    }
+
+    #[test]
+    fn malformed_control_frames_are_counted_and_ignored() {
+        let core = PubCore::default();
+        let (conn, acks) = undrained_conn(4);
+        let bad: [&[u8]; 5] = [
+            &[],                        // zero-length topic
+            &[CTRL_FILTER, 0xff, 0xfe], // key is not UTF-8
+            &[CTRL_SYNC, 1, 2, 3],      // token is not eight bytes
+            &[CTRL_SYNC],
+            &[9, b'x'], // no such control frame
+        ];
+        for frame in bad {
+            let before = malformed_frames().get();
+            core.apply_control(&conn, frame);
+            assert!(malformed_frames().get() > before, "{frame:?}");
+        }
+        assert!(conn.prefixes.load().is_empty());
+        assert!(!conn.is_filtered());
+        assert!(acks.try_recv().is_err(), "nothing was acknowledged");
+        // Well-formed frames on the same connection still apply.
+        core.apply_control(&conn, &[CTRL_SUBSCRIBE, b't']);
+        core.apply_control(&conn, &[&[CTRL_SYNC][..], &7u64.to_be_bytes()].concat());
+        assert!(conn.matches(b"topic"));
+        assert!(matches!(acks.try_recv(), Ok(Outbound::SyncAck(7))));
+    }
+
+    proptest::proptest! {
+        /// No control frame a peer can send panics the connection's
+        /// reader: a known kind byte followed by garbage, or garbage
+        /// from the first byte.
+        #[test]
+        fn arbitrary_control_frames_never_panic(
+            frames in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..24)),
+                0..32,
+            ),
+        ) {
+            let core = PubCore::default();
+            let (conn, _acks) = undrained_conn(64);
+            for (kind, body) in &frames {
+                // Kinds 4 and 5 stand for "no kind byte at all".
+                let frame = if *kind < 4 {
+                    [&[*kind][..], body].concat()
+                } else {
+                    body.clone()
+                };
+                core.apply_control(&conn, &frame);
+            }
+            core.publish(&msg("t", "x"));
+        }
+    }
+
     /// A TCP subscriber whose writer queue is full causes a publish
     /// stall (drop-newest for that peer, publisher never blocks), and
     /// a peer that stays wedged past the threshold is disconnected.
     #[test]
     fn full_writer_queue_stalls_then_disconnects_slow_subscriber() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (_peer, _) = listener.accept().unwrap();
         // A one-slot queue with no writer thread draining it models a
         // peer whose socket never accepts another byte.
-        let (frame_tx, _frame_rx) = bounded::<bytes::Bytes>(1);
-        let conn = Arc::new(TcpSubConn {
-            frame_tx,
-            stream: Mutex::new(client),
-            prefixes: PrefixSet::new(vec![Vec::new()]),
-            alive: AtomicBool::new(true),
-            // One stall away from eviction.
-            stalled: AtomicU64::new(SLOW_SUB_DISCONNECT_AFTER - 1),
-            filter_key: Mutex::new(None),
-            degraded: AtomicBool::new(false),
-        });
+        let (conn, _frame_rx) = undrained_conn(1);
+        conn.prefixes.push(Vec::new());
+        // One stall away from eviction.
+        conn.stalled
+            .store(SLOW_SUB_DISCONNECT_AFTER - 1, Ordering::Relaxed);
         let core = PubCore::default();
         core.tcp_subs.lock().push(conn.clone());
         let m = msg("t", "x");
@@ -1522,11 +1903,6 @@ mod tests {
         let sub = ctx.subscriber();
         sub.connect(&format!("tcp://{addr}")).unwrap();
         sub.subscribe_filter("path=/b/**;kinds=*;mdts=*");
-        // Wait for the control frame to land publisher-side.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while publisher.active_filter_specs().is_empty() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
         assert_eq!(
             publisher.active_filter_specs(),
             vec!["path=/b/**;kinds=*;mdts=*".to_string()]
@@ -1542,20 +1918,7 @@ mod tests {
 
     #[test]
     fn stalled_filtered_tcp_peer_degrades_instead_of_disconnecting() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (_peer, _) = listener.accept().unwrap();
-        let (frame_tx, _frame_rx) = bounded::<bytes::Bytes>(1);
-        let conn = Arc::new(TcpSubConn {
-            frame_tx,
-            stream: Mutex::new(client),
-            prefixes: PrefixSet::new(Vec::new()),
-            alive: AtomicBool::new(true),
-            stalled: AtomicU64::new(0),
-            filter_key: Mutex::new(None),
-            degraded: AtomicBool::new(false),
-        });
+        let (conn, _frame_rx) = undrained_conn(1);
         let core = PubCore::default();
         core.register_tcp_filter(&conn, "path=/c/**;kinds=*;mdts=*");
         let class = core.class("path=/c/**;kinds=*;mdts=*", 8);

@@ -9,12 +9,12 @@
 use crate::endpoint::Endpoint;
 use crate::message::Message;
 use crate::registry::{Context, InprocBinding};
-use crate::tcp::{read_frame, spawn_listener, write_frame};
+use crate::tcp::{read_message, spawn_listener, write_frame, ListenerGuard};
 use crate::MqError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,8 +33,7 @@ pub struct PullSocket {
     core: Arc<PullCore>,
     rx: Receiver<Message>,
     bound_inproc: Mutex<Vec<String>>,
-    listener_alive: Arc<AtomicBool>,
-    bound_tcp: Mutex<Option<std::net::SocketAddr>>,
+    listeners: Mutex<Vec<ListenerGuard>>,
 }
 
 impl PullSocket {
@@ -53,8 +52,7 @@ impl PullSocket {
             }),
             rx,
             bound_inproc: Mutex::new(Vec::new()),
-            listener_alive: Arc::new(AtomicBool::new(true)),
-            bound_tcp: Mutex::new(None),
+            listeners: Mutex::new(Vec::new()),
         }
     }
 
@@ -69,22 +67,21 @@ impl PullSocket {
             }
             Endpoint::Tcp(addr) => {
                 let core = self.core.clone();
-                let local =
-                    spawn_listener(&addr, self.listener_alive.clone(), move |mut stream| {
-                        let core = core.clone();
-                        std::thread::spawn(move || {
-                            while let Some(msg) = read_frame(&mut stream) {
-                                // Blocking send: TCP pushers experience
-                                // backpressure via the unread socket buffer.
-                                if core.tx.send(msg).is_err() {
-                                    break;
-                                }
-                                core.received.fetch_add(1, Ordering::Relaxed);
+                let listener = spawn_listener(&addr, move |mut stream| {
+                    let core = core.clone();
+                    std::thread::spawn(move || {
+                        while let Some(msg) = read_message(&mut stream) {
+                            // Blocking send: TCP pushers experience
+                            // backpressure via the unread socket buffer.
+                            if core.tx.send(msg).is_err() {
+                                break;
                             }
-                        });
-                    })
-                    .map_err(|e| MqError::BindFailed(e.to_string()))?;
-                *self.bound_tcp.lock() = Some(local);
+                            core.received.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                })
+                .map_err(|e| MqError::BindFailed(e.to_string()))?;
+                self.listeners.lock().push(listener);
                 Ok(())
             }
         }
@@ -92,7 +89,7 @@ impl PullSocket {
 
     /// The TCP address actually bound.
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        *self.bound_tcp.lock()
+        self.listeners.lock().last().map(ListenerGuard::local_addr)
     }
 
     /// Receive, blocking up to `timeout`.
@@ -113,7 +110,6 @@ impl PullSocket {
 
 impl Drop for PullSocket {
     fn drop(&mut self) {
-        self.listener_alive.store(false, Ordering::Relaxed);
         for name in self.bound_inproc.lock().drain(..) {
             self.ctx.unregister(&name);
         }
@@ -184,7 +180,7 @@ impl PushSocket {
                 tx.send(msg).map_err(|_| MqError::Disconnected)?;
             }
             PushAttachment::Tcp(stream) => {
-                write_frame(&mut stream.lock(), &msg).map_err(|_| MqError::Disconnected)?;
+                write_frame(&mut *stream.lock(), &msg).map_err(|_| MqError::Disconnected)?;
             }
         }
         self.sent.fetch_add(1, Ordering::Relaxed);

@@ -8,12 +8,11 @@
 use crate::endpoint::Endpoint;
 use crate::message::Message;
 use crate::registry::{Context, InprocBinding};
-use crate::tcp::{read_frame, spawn_listener, write_frame};
+use crate::tcp::{read_message, spawn_listener, write_frame, ListenerGuard};
 use crate::MqError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +37,7 @@ impl Incoming {
         match self.route {
             ReplyRoute::Inproc(tx) => tx.send(msg).map_err(|_| MqError::Disconnected),
             ReplyRoute::Tcp(stream) => {
-                write_frame(&mut stream.lock(), &msg).map_err(|_| MqError::Disconnected)
+                write_frame(&mut *stream.lock(), &msg).map_err(|_| MqError::Disconnected)
             }
         }
     }
@@ -55,8 +54,7 @@ pub struct RepSocket {
     core: Arc<RepCore>,
     requests_rx: Receiver<Incoming>,
     bound_inproc: Mutex<Vec<String>>,
-    listener_alive: Arc<AtomicBool>,
-    bound_tcp: Mutex<Option<std::net::SocketAddr>>,
+    listeners: Mutex<Vec<ListenerGuard>>,
 }
 
 impl RepSocket {
@@ -67,8 +65,7 @@ impl RepSocket {
             core: Arc::new(RepCore { requests_tx }),
             requests_rx,
             bound_inproc: Mutex::new(Vec::new()),
-            listener_alive: Arc::new(AtomicBool::new(true)),
-            bound_tcp: Mutex::new(None),
+            listeners: Mutex::new(Vec::new()),
         }
     }
 
@@ -83,13 +80,13 @@ impl RepSocket {
             }
             Endpoint::Tcp(addr) => {
                 let core = self.core.clone();
-                let local = spawn_listener(&addr, self.listener_alive.clone(), move |stream| {
+                let listener = spawn_listener(&addr, move |stream| {
                     let writer =
                         Arc::new(Mutex::new(stream.try_clone().expect("clone rep stream")));
                     let mut reader = stream;
                     let core = core.clone();
                     std::thread::spawn(move || {
-                        while let Some(request) = read_frame(&mut reader) {
+                        while let Some(request) = read_message(&mut reader) {
                             let incoming = Incoming {
                                 request,
                                 route: ReplyRoute::Tcp(writer.clone()),
@@ -101,7 +98,7 @@ impl RepSocket {
                     });
                 })
                 .map_err(|e| MqError::BindFailed(e.to_string()))?;
-                *self.bound_tcp.lock() = Some(local);
+                self.listeners.lock().push(listener);
                 Ok(())
             }
         }
@@ -109,7 +106,7 @@ impl RepSocket {
 
     /// The TCP address actually bound.
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        *self.bound_tcp.lock()
+        self.listeners.lock().last().map(ListenerGuard::local_addr)
     }
 
     /// Receive the next request, waiting up to `timeout`.
@@ -127,7 +124,6 @@ impl RepSocket {
 
 impl Drop for RepSocket {
     fn drop(&mut self) {
-        self.listener_alive.store(false, Ordering::Relaxed);
         for name in self.bound_inproc.lock().drain(..) {
             self.ctx.unregister(&name);
         }
@@ -197,8 +193,8 @@ impl ReqSocket {
                 stream
                     .set_read_timeout(Some(timeout))
                     .map_err(|_| MqError::Disconnected)?;
-                write_frame(&mut stream, &msg).map_err(|_| MqError::Disconnected)?;
-                read_frame(&mut stream).ok_or(MqError::Timeout)
+                write_frame(&mut *stream, &msg).map_err(|_| MqError::Disconnected)?;
+                read_message(&mut *stream).ok_or(MqError::Timeout)
             }
         }
     }

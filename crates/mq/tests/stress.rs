@@ -97,7 +97,6 @@ fn tcp_large_frames_roundtrip() {
     let sub = ctx.subscriber();
     sub.connect(&format!("tcp://{addr}")).unwrap();
     sub.subscribe(b"big");
-    std::thread::sleep(Duration::from_millis(100));
 
     let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
     publisher

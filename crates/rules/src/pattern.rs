@@ -68,24 +68,45 @@ impl PathPattern {
     }
 
     /// Whether `path` (leading `/`, component-separated) matches.
+    /// Allocates nothing: components are split off the `&str`
+    /// remainder as the pattern asks for them.
     pub fn matches(&self, path: &str) -> bool {
-        let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
-        Self::match_segments(&self.segments, &comps)
+        Self::match_segments(&self.segments, path)
     }
 
-    fn match_segments(segments: &[Segment], comps: &[&str]) -> bool {
+    /// Split the first non-empty component off `path`. `/` is ASCII, so
+    /// both halves stay on UTF-8 boundaries.
+    fn next_component(path: &str) -> Option<(&str, &str)> {
+        let path = path.trim_start_matches('/');
+        if path.is_empty() {
+            return None;
+        }
+        Some(path.split_once('/').unwrap_or((path, "")))
+    }
+
+    fn match_segments(segments: &[Segment], path: &str) -> bool {
         match segments.split_first() {
-            None => comps.is_empty(),
+            None => Self::next_component(path).is_none(),
+            // A trailing `**` matches whatever is left, unwalked.
+            Some((Segment::DoubleStar, [])) => true,
             Some((Segment::DoubleStar, rest)) => {
                 // `**` absorbs 0..=all leading components.
-                (0..=comps.len()).any(|k| Self::match_segments(rest, &comps[k..]))
-            }
-            Some((Segment::Component(pieces), rest)) => match comps.split_first() {
-                None => false,
-                Some((comp, comp_rest)) => {
-                    Self::match_component(pieces, comp) && Self::match_segments(rest, comp_rest)
+                let mut tail = path;
+                loop {
+                    if Self::match_segments(rest, tail) {
+                        return true;
+                    }
+                    match Self::next_component(tail) {
+                        Some((_, after)) => tail = after,
+                        None => return false,
+                    }
                 }
-            },
+            }
+            Some((Segment::Component(pieces), rest)) => {
+                Self::next_component(path).is_some_and(|(comp, tail)| {
+                    Self::match_component(pieces, comp) && Self::match_segments(rest, tail)
+                })
+            }
         }
     }
 

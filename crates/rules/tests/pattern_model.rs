@@ -11,8 +11,55 @@ fn arb_path() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec(arb_component(), 1..6)
 }
 
+/// The matcher `PathPattern::matches` replaced, kept as the reference:
+/// split the path into a component vector, then match segment by
+/// segment. Same grammar — empty components skipped, `**` spans whole
+/// components, `*` stays inside one.
+fn oracle_matches(pattern: &str, path: &str) -> bool {
+    fn component(pat: &[char], s: &[char]) -> bool {
+        match pat.split_first() {
+            None => s.is_empty(),
+            Some(('*', rest)) => (0..=s.len()).any(|k| component(rest, &s[k..])),
+            Some((c, rest)) => s.first() == Some(c) && component(rest, &s[1..]),
+        }
+    }
+    fn segments(segs: &[&str], comps: &[&str]) -> bool {
+        match segs.split_first() {
+            None => comps.is_empty(),
+            Some((&"**", rest)) => (0..=comps.len()).any(|k| segments(rest, &comps[k..])),
+            Some((seg, rest)) => comps.split_first().is_some_and(|(comp, comp_rest)| {
+                let (seg, comp): (Vec<char>, Vec<char>) =
+                    (seg.chars().collect(), comp.chars().collect());
+                component(&seg, &comp) && segments(rest, comp_rest)
+            }),
+        }
+    }
+    let segs: Vec<&str> = pattern.split('/').filter(|c| !c.is_empty()).collect();
+    let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
+    segments(&segs, &comps)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The allocation-free matcher answers exactly as the
+    /// component-vector one did, on a small alphabet so that random
+    /// patterns do match random paths: doubled and trailing `/`,
+    /// `*`/`**` anywhere, multi-byte characters.
+    #[test]
+    fn lazy_matcher_agrees_with_component_vector_oracle(
+        pattern in r"/?((\*\*|\*|a|b|é|a\*|\*b|ab)/{1,2}){0,4}(\*\*|\*|a|é|a\*|\*b)?",
+        paths in prop::collection::vec("/{0,3}((a|b|é|ab|aab|éb)/{1,3}){0,4}(a|b|é|ab)?", 1..8),
+    ) {
+        let compiled = PathPattern::new(&pattern);
+        for path in &paths {
+            prop_assert_eq!(
+                compiled.matches(path),
+                oracle_matches(&pattern, path),
+                "{} vs {}", pattern, path
+            );
+        }
+    }
 
     /// A pattern built from a path by literal copying matches exactly
     /// that path.

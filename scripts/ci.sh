@@ -16,7 +16,7 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs)"
+echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP tests 50 runs)"
 # Tier-1 must be green every run, not most runs. Two spinner processes
 # take the cores away from the pipeline's threads at arbitrary points,
 # which is what turned the resolver-pool race into a 1-in-4 failure of
@@ -24,26 +24,34 @@ echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs)"
 # along because its restart assertions depend on work-driven fault
 # rolls: an injected collector crash is rolled per productive step, so
 # whether a seeded plan reaches its first hit must not depend on how the
-# scheduler sliced the records into steps. A single failure of either
-# integration binary fails the gate.
-test_bin() {
-    cargo test -q -p fsmon-integration --test "$1" --no-run \
-        --message-format=json 2>/dev/null |
-        sed -n 's/.*"executable":"\([^"]*\/'"$1"'-[^"]*\)".*/\1/p' | tail -1
+# scheduler sliced the records into steps. The TCP tests ride along
+# because a TCP subscription is acknowledged, not waited out: they have
+# no settling sleep left for a loaded host to outlast, and must not
+# need one. A single failure of any binary fails the gate.
+test_bin() { # package executable-stem cargo-target-args...
+    local pkg="$1" stem="$2"
+    shift 2
+    cargo test -q -p "$pkg" "$@" --no-run --message-format=json 2>/dev/null |
+        sed -n 's/.*"executable":"\([^"]*\/'"$stem"'-[^"]*\)".*/\1/p' | tail -1
 }
-automation_bin="$(test_bin automation)"
-chaos_bin="$(test_bin chaos)"
-test -x "$automation_bin"
-test -x "$chaos_bin"
+automation_bin="$(test_bin fsmon-integration automation --test automation)"
+chaos_bin="$(test_bin fsmon-integration chaos --test chaos)"
+end_to_end_bin="$(test_bin fsmon-integration end_to_end --test end_to_end)"
+tcp_start_bin="$(test_bin fsmon-integration tcp_start --test tcp_start)"
+mq_bin="$(test_bin fsmon-mq fsmon_mq --lib)"
+lustre_bin="$(test_bin fsmon-lustre fsmon_lustre --lib)"
+for bin in "$automation_bin" "$chaos_bin" "$end_to_end_bin" "$tcp_start_bin" "$mq_bin" "$lustre_bin"; do
+    test -x "$bin"
+done
 spinners=()
 for _ in 1 2; do
     (while :; do :; done) &
     spinners+=("$!")
 done
 trap 'kill "${spinners[@]}" 2>/dev/null || true' EXIT
-stress() { # name binary runs
+stress() { # name binary runs [test-filter]
     for run in $(seq 1 "$3"); do
-        if ! "$2" -q >"target/$1.stress.log" 2>&1; then
+        if ! "$2" -q "${@:4}" >"target/$1.stress.log" 2>&1; then
             echo "FAIL: $1 run ${run}/$3 failed under contention:"
             cat "target/$1.stress.log"
             exit 1
@@ -53,6 +61,10 @@ stress() { # name binary runs
 }
 stress automation "$automation_bin" 100
 stress chaos "$chaos_bin" 20
+stress mq-tcp "$mq_bin" 50 tcp
+stress lustre-tcp "$lustre_bin" 50 tcp_transport_end_to_end
+stress end-to-end-tcp "$end_to_end_bin" 50 tcp_deployment_shape_works_end_to_end
+stress tcp-start "$tcp_start_bin" 50
 kill "${spinners[@]}" 2>/dev/null || true
 trap - EXIT
 

@@ -3,7 +3,7 @@
 //! armed fault plan must deliver every event exactly once.
 
 use fsmon_faults::{FaultPlan, FaultPoint, FaultRule};
-use fsmon_lustre::{ScalableConfig, ScalableMonitor};
+use fsmon_lustre::{ScalableConfig, ScalableMonitor, Transport};
 use fsmon_store::{EventStore, FileStore};
 use lustre_sim::{LustreConfig, LustreFs};
 use std::path::PathBuf;
@@ -48,7 +48,20 @@ fn drain_all(monitor: ScalableMonitor) -> Vec<u64> {
 /// per-MDT cursor: nothing lost, nothing duplicated.
 #[test]
 fn killed_collector_resumes_from_cursor_exactly_once() {
-    let dir = tmpdir("cursor");
+    kill_collector_and_resume(Transport::Inproc, "cursor");
+}
+
+/// The same over TCP, where the supervisor re-attaches the aggregator
+/// to the fresh incarnation's endpoint before it starts its lane: the
+/// attach is acknowledged, so the incarnation's first batch finds its
+/// subscriber and no step is held.
+#[test]
+fn killed_collector_over_tcp_reattaches_without_a_held_step() {
+    kill_collector_and_resume(Transport::Tcp, "cursor-tcp");
+}
+
+fn kill_collector_and_resume(transport: Transport, tag: &str) {
+    let dir = tmpdir(tag);
     let fs = LustreFs::new(LustreConfig::small());
     // The crash point is rolled once per productive collector step,
     // and 1200 records in batches of at most 16 are at least 75 of
@@ -64,6 +77,7 @@ fn killed_collector_resumes_from_cursor_exactly_once() {
         &fs,
         ScalableConfig {
             faults,
+            transport,
             batch_size: 16,
             cursor_file: Some(dir.join("cursors")),
             ..ScalableConfig::default()
@@ -88,6 +102,9 @@ fn killed_collector_resumes_from_cursor_exactly_once() {
         monitor.supervisor_restarts() >= 1,
         "plan never killed the collector"
     );
+    // The stats are those of the incarnation running now, which is a
+    // re-attached one.
+    assert_eq!(monitor.collector_stats()[0].held_steps, 0);
     let recovery = monitor.consumer().recovery_stats();
     let mut ids = drain_all(monitor);
     let delivered = ids.len() as u64;

@@ -52,6 +52,9 @@ fn counters_conserve_across_the_pipeline() {
     // No losses or junk anywhere on the way.
     assert_eq!(delta.counter("fsmon_aggregator_decode_errors_total"), 0);
     assert_eq!(delta.counter("fsmon_mq_hwm_dropped_total"), 0);
+    assert_eq!(delta.counter("fsmon_mq_malformed_frames_total"), 0);
+    // The aggregator was subscribed before the first collector step.
+    assert_eq!(delta.counter("fsmon_collector_held_steps_total"), 0);
     assert_eq!(delta.counter("fsmon_consumer_filtered_total"), 0);
 
     // Message-level and cache-level activity happened.
