@@ -3,13 +3,9 @@
 //! # fsmon-bench
 //!
 //! Shared harness code for the per-table experiment binaries (see
-//! `src/bin/table*.rs`) and the criterion micro-benchmarks (`benches/`).
-//! DESIGN.md §4 maps every paper table and figure to its binary.
+//! `src/bin/table*.rs`). DESIGN.md §4 maps every paper table and
+//! figure to its binary.
 
 pub mod harness;
-pub mod report;
 
-pub use harness::{
-    local_reporting_rate, lustre_throughput, lustre_throughput_tuned, LocalRun, LustreRun,
-    MonitorKind,
-};
+pub use harness::{local_reporting_rate, lustre_throughput, LocalRun, LustreRun, MonitorKind};

@@ -1186,44 +1186,11 @@ fn stats(
     0
 }
 
-/// Minimal HTTP/1.1 GET against `addr` (accepting the `:port`
-/// localhost shorthand), returning the status code and body.
-fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    use std::io::Read;
-    let addr = match addr.strip_prefix(':') {
-        Some(port) => format!("127.0.0.1:{port}"),
-        None => addr.to_string(),
-    };
-    let mut stream =
-        std::net::TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
 /// `fsmon health`: one GET against a running observer's `/health`,
 /// pretty-printed. Exit 0 when every clause holds, 1 when alerting,
 /// 2 when the endpoint is unreachable or the response unparseable.
 fn health(addr: &str, out: &mut dyn Write) -> i32 {
-    let (status, body) = match http_get(addr, "/health") {
+    let (status, body) = match fsmon_telemetry::health::http_get(addr, "/health") {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(out, "error: {e}");

@@ -277,8 +277,8 @@ impl Aggregator {
     /// partitioned aggregator tier: `shard` labels every telemetry
     /// metric (`shard=<k>`) and thread name so K shards stay
     /// distinguishable in `fsmon stats`, and `store_group_max` caps the
-    /// store lane's group commit (the sharded pipeline bench shrinks it
-    /// to make the workload commit-bound). Each shard runs the full
+    /// store lane's group commit (the benchmark's `drain_durable`
+    /// workload shrinks it to be commit-bound). Each shard runs the full
     /// demux → worker lanes → sequencer → store pipeline over its own
     /// store, stamping its own dense id stream from that store's
     /// `last_seq`.

@@ -128,7 +128,7 @@ struct Lookup {
     t_calls: Arc<fsmon_telemetry::Counter>,
     t_retries: Arc<fsmon_telemetry::Counter>,
     /// Wall-clock latency of each `fid2path` resolution, including
-    /// retries (ns) — the bench harness reads its p99.
+    /// retries (ns) — the benchmark reads it.
     t_resolve_ns: Arc<fsmon_telemetry::Histogram>,
 }
 

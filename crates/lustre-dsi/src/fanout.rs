@@ -80,9 +80,9 @@ struct ClassLane {
 /// Per-sequencer fan-out state: the compiled index, cached against the
 /// publisher's filter generation, and per-class scratch.
 ///
-/// Public so the `fanout` bench can drive the exact production match +
-/// slice + publish loop; the pipeline only constructs it inside the
-/// sequencer.
+/// Public so the benchmark's serial walk can drive the exact
+/// production match + slice + publish loop; the pipeline only
+/// constructs it inside the sequencer.
 pub struct FanoutEngine {
     publisher: Arc<PubSocket>,
     generation: u64,
@@ -227,20 +227,27 @@ mod tests {
     use fsmon_events::{wire::decode_event_batch, EventKind};
     use fsmon_mq::{Context, RingPoll};
 
-    fn stamped_batch(paths: &[&str]) -> (Vec<StandardEvent>, Vec<usize>, Bytes) {
-        let mut events: Vec<StandardEvent> = paths
-            .iter()
-            .map(|p| StandardEvent::new(EventKind::Create, "/r", *p))
-            .collect();
+    type Stamped = (Vec<StandardEvent>, Vec<usize>, Bytes);
+
+    /// Encode one batch the way the sequencer does: encode, then patch
+    /// each event's id in place.
+    fn stamp(events: Vec<StandardEvent>) -> Stamped {
         let mut buf = BytesMut::new();
         let mut offsets = Vec::new();
         encode_event_batch_offsets(&events, &mut buf, &mut offsets);
-        for (i, (ev, off)) in events.iter_mut().zip(&offsets).enumerate() {
-            ev.id = i as u64 + 1;
+        for (ev, off) in events.iter().zip(&offsets) {
             fsmon_events::wire::patch_event_id(&mut buf, *off, ev.id);
         }
-        let frame = buf.split_frozen();
-        (events, offsets, frame)
+        (events, offsets, buf.split_frozen())
+    }
+
+    fn stamped_batch(paths: &[&str]) -> Stamped {
+        let events = paths.iter().zip(1..).map(|(p, id)| {
+            let mut ev = StandardEvent::new(EventKind::Create, "/r", *p);
+            ev.id = id;
+            ev
+        });
+        stamp(events.collect())
     }
 
     #[test]
@@ -353,6 +360,102 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(publisher.filter_class(&spec).stats().shed, 8);
+    }
+
+    /// Delivery cost does not grow with the subscriber population:
+    /// 16 or 16 000 ring cursors over the same 8 classes, the engine
+    /// writes each class ring once per batch. The classes are the set
+    /// the benchmark's `drain_fanout` workload uses (path selectivity
+    /// 100/10/1/0.1 %, each with and without a creates-only mask). A
+    /// socket subscriber that never drains stalls and degrades to
+    /// catch-up-from-store; it is never disconnected.
+    #[test]
+    fn ring_writes_per_class_do_not_depend_on_the_subscriber_count() {
+        use fsmon_events::kind::KindMask;
+        use fsmon_mq::SubSocket;
+
+        const BATCH: usize = 64;
+        const BATCHES: usize = 100;
+        let creates = KindMask::from_kinds([EventKind::Create]);
+        let mut classes = vec![
+            FilterSpec::all().canonical(),
+            FilterSpec::all().with_kinds(creates).canonical(),
+        ];
+        for dir in ["/tepid", "/warm", "/hot"] {
+            classes.push(FilterSpec::subtree(dir).canonical());
+            classes.push(FilterSpec::subtree(dir).with_kinds(creates).canonical());
+        }
+
+        // Top-level directories set the selectivities (/hot 0.1 %,
+        // /warm 1 %, /tepid 10 %, /cold the rest); half creates, half
+        // writes. Xorshift keeps the stream fixed.
+        let mut state = 0x5eed_fa10_0b5e_55edu64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let stream: Vec<StandardEvent> = (1..=(BATCH * BATCHES) as u64)
+            .map(|id| {
+                let dir = match next(1_000) {
+                    0 => "hot",
+                    1..=10 => "warm",
+                    11..=110 => "tepid",
+                    _ => "cold",
+                };
+                let kind = [EventKind::Create, EventKind::CloseWrite][next(2) as usize];
+                let path = format!("/{dir}/d{}/f{}.dat", next(64), next(256));
+                let mut ev = StandardEvent::new(kind, "/", path);
+                ev.id = id;
+                ev
+            })
+            .collect();
+        let batches: Vec<Stamped> = stream
+            .chunks(BATCH)
+            .map(|chunk| stamp(chunk.to_vec()))
+            .collect();
+
+        let frames_per_class = |cursors: usize| -> Vec<(String, u64)> {
+            let ctx = Context::new();
+            let publisher = Arc::new(ctx.publisher());
+            let endpoint = format!("inproc://fanout-population-{cursors}");
+            publisher.bind(&endpoint).unwrap();
+            let stalled: Vec<SubSocket> = classes
+                .iter()
+                .map(|key| {
+                    let sub = SubSocket::with_hwm(ctx.clone(), 64);
+                    sub.subscribe_filter(key);
+                    sub.connect(&endpoint).unwrap();
+                    sub
+                })
+                .collect();
+            let mut ring: Vec<_> = (0..cursors)
+                .map(|i| publisher.subscribe_class(&classes[i % classes.len()]))
+                .collect();
+            let mut engine = FanoutEngine::new(publisher.clone());
+            for (events, offsets, frame) in &batches {
+                engine.fan_out(events, offsets, frame);
+            }
+            for cursor in ring.iter_mut().take(classes.len()) {
+                let polled = match cursor.poll() {
+                    RingPoll::Overrun { .. } => cursor.poll(),
+                    other => other,
+                };
+                assert!(matches!(polled, RingPoll::Frame(_)), "{polled:?}");
+            }
+            let stats = publisher.class_stats();
+            assert_eq!(stats.len(), classes.len());
+            for class in &stats {
+                assert!(class.stalls > 0, "{}: undrained socket stalls", class.key);
+            }
+            assert!(stalled.iter().all(|sub| !sub.disconnected()));
+            stats.into_iter().map(|c| (c.key, c.frames)).collect()
+        };
+
+        let small = frames_per_class(16);
+        assert!(small.iter().all(|(_, frames)| *frames == BATCHES as u64));
+        assert_eq!(small, frames_per_class(16_000));
     }
 
     #[test]

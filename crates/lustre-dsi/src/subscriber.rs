@@ -9,8 +9,8 @@
 //!
 //! * [`FilteredSubscriber`] — an in-process broadcast-ring cursor,
 //!   attached directly to the aggregator's publisher. The cheapest
-//!   possible consumer (no channel, no socket); this is what the
-//!   `fanout` bench scales to 100k of.
+//!   possible consumer (no channel, no socket): thousands of them cost
+//!   the publisher one ring write per class.
 //! * [`FilteredConsumer`] — a [`SubSocket`]-based subscriber that works
 //!   over both `inproc://` and `tcp://` endpoints; what `fsmon watch
 //!   --filter` and the chaos harness use.

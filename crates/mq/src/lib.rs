@@ -10,8 +10,6 @@
 //! * **PUB/SUB** — topic-prefix-filtered fan-out. Slow subscribers drop
 //!   messages past their high-water mark rather than stalling the
 //!   publisher, matching ZeroMQ's PUB behaviour.
-//! * **PUSH/PULL** — load-balanced pipeline distribution with
-//!   backpressure.
 //! * **REQ/REP** — synchronous request–reply (the historic-replay API).
 //! * **Multipart messages** — each message is a sequence of byte frames
 //!   ([`Message`]).
@@ -40,7 +38,6 @@
 pub mod endpoint;
 pub mod message;
 pub mod pubsub;
-pub mod pushpull;
 pub mod registry;
 pub mod reqrep;
 pub mod ring;
@@ -50,7 +47,6 @@ pub mod tcp;
 pub use endpoint::Endpoint;
 pub use message::Message;
 pub use pubsub::{ClassCursor, ClassStats, FilterClass, PubSocket, SubSocket};
-pub use pushpull::{PullSocket, PushSocket};
 pub use registry::Context;
 pub use reqrep::{Incoming, RepSocket, ReqSocket};
 pub use ring::{BroadcastRing, RingCursor, RingPoll};

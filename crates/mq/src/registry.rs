@@ -1,9 +1,8 @@
 //! The socket context and in-process endpoint registry.
 
 use crate::pubsub::PubCore;
-use crate::pushpull::PullCore;
 use crate::reqrep::RepCore;
-use crate::{MqError, PubSocket, PullSocket, PushSocket, SubSocket};
+use crate::{MqError, PubSocket, SubSocket};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,8 +12,6 @@ use std::sync::Arc;
 pub(crate) enum InprocBinding {
     /// A PUB socket's fan-out core.
     Publisher(Arc<PubCore>),
-    /// A PULL socket's shared queue.
-    Puller(Arc<PullCore>),
     /// A REP socket's request queue.
     Replier(Arc<RepCore>),
 }
@@ -40,16 +37,6 @@ impl Context {
     /// Create a SUB socket.
     pub fn subscriber(&self) -> SubSocket {
         SubSocket::new(self.clone())
-    }
-
-    /// Create a PUSH socket.
-    pub fn pusher(&self) -> PushSocket {
-        PushSocket::new(self.clone())
-    }
-
-    /// Create a PULL socket.
-    pub fn puller(&self) -> PullSocket {
-        PullSocket::new(self.clone())
     }
 
     /// Create a REP socket.

@@ -123,7 +123,8 @@ pub fn read_message(stream: &mut impl Read) -> Option<Message> {
 
 /// A bound listener and its accept thread. Dropping the guard stops the
 /// thread, waits for it, and so closes the port: a later connect is
-/// refused.
+/// refused. A bound `PubSocket` and a bound `RepSocket` each hold one
+/// per TCP endpoint.
 pub struct ListenerGuard {
     local: SocketAddr,
     alive: Arc<AtomicBool>,

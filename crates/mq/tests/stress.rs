@@ -54,39 +54,6 @@ fn pubsub_preserves_per_publisher_order_under_concurrency() {
     }
 }
 
-/// PUSH/PULL never loses or duplicates under concurrent pushers with
-/// backpressure (small queue).
-#[test]
-fn pushpull_lossless_under_backpressure() {
-    let ctx = Context::new();
-    let pull = fsmon_mq::PullSocket::with_capacity(ctx.clone(), 64);
-    pull.bind("inproc://sink").unwrap();
-    let n_pushers = 4u8;
-    let per_pusher = 3_000u32;
-    let handles: Vec<_> = (0..n_pushers)
-        .map(|t| {
-            let push = ctx.pusher();
-            push.connect("inproc://sink").unwrap();
-            std::thread::spawn(move || {
-                for i in 0..per_pusher {
-                    let mut payload = vec![t];
-                    payload.extend_from_slice(&i.to_be_bytes());
-                    push.send(Message::single(payload)).unwrap();
-                }
-            })
-        })
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..(n_pushers as u32 * per_pusher) {
-        let msg = pull.recv_timeout(Duration::from_secs(5)).expect("no stall");
-        assert!(seen.insert(msg.part(0).unwrap().to_vec()), "duplicate");
-    }
-    assert!(pull.try_recv().is_none(), "no extras");
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
 /// TCP pub/sub round-trips large multipart frames intact.
 #[test]
 fn tcp_large_frames_roundtrip() {

@@ -1246,6 +1246,37 @@ fn serve_connection(shared: &HealthShared, mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
+/// Minimal HTTP/1.1 GET against an observer at `addr` (accepting the
+/// `:port` localhost shorthand), returning the status code and body.
+pub fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
+    let addr = match addr.strip_prefix(':') {
+        Some(port) => format!("127.0.0.1:{port}"),
+        None => addr.to_string(),
+    };
+    let mut stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+    stream
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
+        .map_err(|e| format!("send to {addr}: {e}"))?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| format!("read from {addr}: {e}"))?;
+    let status: u16 = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("malformed response from {addr}"))?;
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    Ok((status, body))
+}
+
 /// Render the `/dashboard.json` document from shared state.
 fn render_dashboard(shared: &HealthShared) -> String {
     let st = shared.state.lock().expect("health state");
@@ -1494,25 +1525,25 @@ mod tests {
             },
         )
         .unwrap();
-        let addr = monitor.http_addr().expect("bound");
+        let addr = monitor.http_addr().expect("bound").to_string();
         // Healthy traffic for a few ticks.
         g.set(1);
         for _ in 0..6 {
             c.add(10);
             std::thread::sleep(Duration::from_millis(25));
         }
-        let (status, body) = http_get(addr, "/metrics");
+        let (status, body) = http_get(&addr, "/metrics").unwrap();
         assert_eq!(status, 200, "{body}");
         let parsed = crate::export::parse_prometheus(&body).unwrap();
         assert!(parsed.counter("t_flow_total") > 0);
-        let (status, body) = http_get(addr, "/health");
+        let (status, body) = http_get(&addr, "/health").unwrap();
         assert_eq!(status, 200, "{body}");
         let report = HealthReport::from_json(&body).unwrap();
         assert!(report.ready && report.ok, "{report}");
-        let (status, body) = http_get(addr, "/dashboard.json");
+        let (status, body) = http_get(&addr, "/dashboard.json").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"t_flow_total\""), "{body}");
-        let (status, _) = http_get(addr, "/nope");
+        let (status, _) = http_get(&addr, "/nope").unwrap();
         assert_eq!(status, 404);
         // Now breach the SLO long enough to burn both windows.
         g.set(100);
@@ -1525,7 +1556,7 @@ mod tests {
             assert!(Instant::now() < deadline, "no breach: {report}");
             std::thread::sleep(Duration::from_millis(20));
         }
-        let (status, _) = http_get(addr, "/health");
+        let (status, _) = http_get(&addr, "/health").unwrap();
         assert_eq!(status, 503);
         // A crash note dumps another bundle.
         monitor.note_crash("mdt0 restart");
@@ -1542,26 +1573,5 @@ mod tests {
         assert!(!decoded.snapshots.is_empty());
         assert!(decoded.verdicts.iter().any(|v| v.breached || v.alerting));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn http_get(addr: SocketAddr, path: &str) -> (u32, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-        )
-        .unwrap();
-        let mut text = String::new();
-        stream.read_to_string(&mut text).unwrap();
-        let status = text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let body = text
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        (status, body)
     }
 }

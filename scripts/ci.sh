@@ -74,64 +74,25 @@ echo "==> benchmark smoke (every workload at 1/20 size, correctness only)"
 # correctly through the current code. It claims no timing.
 benchmark/run.sh --smoke >/dev/null
 
-echo "==> pipeline bench smoke (prefetched resolution / sharded fan-out)"
-# Saturated-drain run; compares the tuned configuration against the
-# committed baseline and fails on a >20% throughput regression, a >20%
-# traced end-to-end p99 latency regression, a >20% traced store_commit
-# p99 regression (the group-commit gate — either latency gate is
-# skipped if the baseline predates its field), or a <2x parallel
-# speedup. The sharded-aggregator axis gates the same run: K=4
-# partitioned sequencers must sustain >=1.5x the K=1 sequence+commit
-# throughput on the commit-bound workload, and the K=4 rate must not
-# regress >20% below the committed baseline. --seconds must match the committed
-# baseline's window: throughput grows with drain length (longer runs
-# amortize startup and build fuller batches), so differently sized
-# windows are not comparable. Writes its report to a scratch path so
-# the committed BENCH_pipeline.json only changes when regenerated
-# deliberately.
-if [ -f BENCH_pipeline.json ]; then
-    cargo build --release -q -p fsmon-bench --bin pipeline
-    target/release/pipeline --seconds 3 \
-        --out target/BENCH_pipeline.smoke.json \
-        --baseline BENCH_pipeline.json
-else
-    echo "    (no committed BENCH_pipeline.json; skipping)"
-fi
-
-echo "==> index bench smoke (materialized fold / query latency)"
-# Folds a synthetic stamped stream and times a mixed find/du/policy
-# workload; fails on a >20% ingest-throughput regression against the
-# committed baseline (query p99 gates the same way when the baseline
-# carries the field). --events must match the committed baseline's
-# stream size for comparable numbers. Writes to a scratch path so the
-# committed BENCH_index.json only changes when regenerated
-# deliberately.
-if [ -f BENCH_index.json ]; then
-    cargo build --release -q -p fsmon-bench --bin index
-    target/release/index \
-        --out target/BENCH_index.smoke.json \
-        --baseline BENCH_index.json
-else
-    echo "    (no committed BENCH_index.json; skipping)"
-fi
-
-echo "==> fanout bench smoke (filter pushdown / subscriber scaling)"
-# Times the sequencer's match + slice + publish loop at 1k/10k/100k
-# subscribers over a fixed set of filter classes; fails if per-event
-# cost more than doubles across the 100x span, if any subscriber is
-# force-disconnected (stalls must only degrade to catch-up-from-store),
-# or on a >20% per-event-cost regression against the committed
-# baseline. Default --events matches the committed baseline's stream
-# size. Writes to a scratch path so the committed BENCH_fanout.json
-# only changes when regenerated deliberately.
-if [ -f BENCH_fanout.json ]; then
-    cargo build --release -q -p fsmon-bench --bin fanout
-    target/release/fanout \
-        --out target/BENCH_fanout.smoke.json \
-        --baseline BENCH_fanout.json
-else
-    echo "    (no committed BENCH_fanout.json; skipping)"
-fi
+echo "==> docs and scripts name only binaries that exist"
+# Every `--bin <name>` / `--bench <name>` the documents or the
+# experiment script mention must be a crates/*/src/bin/<name>.rs or a
+# declared [[bin]]/[[bench]] target, so a deleted binary cannot live
+# on in a command someone will paste.
+declared="$(awk '/^\[\[(bin|bench)\]\]/ { t = 1; next } /^\[/ { t = 0 }
+    t && $1 == "name" { gsub(/"/, "", $3); print $3 }' \
+    crates/*/Cargo.toml examples/Cargo.toml tests/Cargo.toml)"
+stale=0
+while IFS=: read -r file mention; do
+    name="${mention##* }"
+    if ! compgen -G "crates/*/src/bin/${name}.rs" >/dev/null &&
+        ! grep -qxF "$name" <<<"$declared"; then
+        echo "FAIL: ${file} mentions '${mention}', which is not a target of this workspace"
+        stale=1
+    fi
+done < <(grep -oHE -- '--(bin|bench) +[A-Za-z0-9_-]+' README.md DESIGN.md EXPERIMENTS.md \
+    .claude/skills/verify/SKILL.md scripts/run_experiments.sh | sort -u)
+[ "$stale" -eq 0 ]
 
 echo "==> health observer smoke (/metrics + /health over a live demo)"
 # A short demo run with the HTTP observer on: /health must answer with

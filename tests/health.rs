@@ -5,14 +5,12 @@
 
 use fsmon_faults::{FaultPlan, FaultPoint, FaultRule};
 use fsmon_lustre::{ScalableConfig, ScalableMonitor};
-use fsmon_telemetry::health::SnapshotFn;
+use fsmon_telemetry::health::{http_get, SnapshotFn};
 use fsmon_telemetry::{
     HealthMonitor, HealthOptions, HealthReport, IncidentBundle, Registry, Reporter, SloSpec,
     Snapshot,
 };
 use lustre_sim::{LustreConfig, LustreFs};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,34 +23,9 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Minimal HTTP GET against the observer (std only, like the CLI's).
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect observer");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
 /// Pull the first `"<key>": <n>` after `anchor` out of a JSON document
 /// without a JSON dependency (the dashboard has no decoder — it feeds
-/// browsers — so tests read it the way the bench baselines are read).
+/// browsers — so tests pick fields out by key).
 fn json_number_after(text: &str, anchor: &str, key: &str) -> f64 {
     let scoped = &text[text
         .find(anchor)
@@ -251,7 +224,7 @@ fn observer_metrics_parse_and_dashboard_agrees_with_stats_diff() {
         },
     )
     .unwrap();
-    let addr = monitor.http_addr().expect("observer bound");
+    let addr = monitor.http_addr().expect("observer bound").to_string();
 
     for i in 0..500u64 {
         requests.inc();
@@ -265,7 +238,7 @@ fn observer_metrics_parse_and_dashboard_agrees_with_stats_diff() {
     // Let the tick thread fold the final state into the series.
     std::thread::sleep(Duration::from_millis(120));
 
-    let (status, metrics) = http_get(addr, "/metrics");
+    let (status, metrics) = http_get(&addr, "/metrics").unwrap();
     assert_eq!(status, 200);
     let scraped =
         fsmon_telemetry::export::parse_prometheus(&metrics).expect("/metrics must stay parseable");
@@ -276,7 +249,7 @@ fn observer_metrics_parse_and_dashboard_agrees_with_stats_diff() {
         .expect("histogram survives the scrape");
     assert_eq!(hist.count(), 500);
 
-    let (status, dashboard) = http_get(addr, "/dashboard.json");
+    let (status, dashboard) = http_get(&addr, "/dashboard.json").unwrap();
     assert_eq!(status, 200);
     // Nothing incremented after `after`, and the ring has not wrapped,
     // so the dashboard's windowed delta is exactly the stats --diff
@@ -294,12 +267,12 @@ fn observer_metrics_parse_and_dashboard_agrees_with_stats_diff() {
     let p99 = json_number_after(&dashboard, "it_latency_ns", "p99");
     assert_eq!(p99 as u64, hist.quantile(0.99));
 
-    let (status, health) = http_get(addr, "/health");
+    let (status, health) = http_get(&addr, "/health").unwrap();
     assert_eq!(status, 200, "no SLO configured: always ok");
     let report = HealthReport::from_json(&health).expect("/health must stay parseable");
     assert!(report.ready && report.ok && report.slo.is_none());
 
-    let (status, _) = http_get(addr, "/nope");
+    let (status, _) = http_get(&addr, "/nope").unwrap();
     assert_eq!(status, 404);
     monitor.stop();
 }
