@@ -756,7 +756,7 @@ fn demo_lustre(
             "filtered  : class {}: {} events ({} healed, {} frames lost)",
             sub.class_key(),
             st.delivered,
-            st.healed,
+            st.gap_events_healed,
             st.frames_lost
         );
     }
@@ -2132,7 +2132,7 @@ fn chaos(
         subset_reference.len(),
         filtered_dups,
         filtered_stats.gaps_detected,
-        filtered_stats.healed,
+        filtered_stats.gap_events_healed,
         filtered_stats.frames_lost,
         if filtered_ok { "PASS" } else { "FAIL" }
     );

@@ -59,35 +59,6 @@ impl EventFilter {
         self
     }
 
-    /// The canonical filter-class key: subscriptions whose filters
-    /// render the same key are one *class* — the interface layer
-    /// evaluates each class once per event and every aggregator
-    /// downstream shares one pre-encoded subset frame per class.
-    ///
-    /// The key doubles as the pushdown wire spec: it is the
-    /// `path=…;kinds=…;mdts=…` grammar `fsmon-rules` compiles, with the
-    /// recursion flag folded into the glob (`/**` subtree vs `/*`
-    /// direct children).
-    pub fn class_key(&self) -> String {
-        let prefix = self.path_prefix.trim_end_matches('/');
-        let pattern = if self.recursive {
-            format!("{prefix}/**")
-        } else {
-            format!("{prefix}/*")
-        };
-        let kinds = if EventKind::ALL.iter().all(|k| self.kinds.contains(*k)) {
-            "*".to_string()
-        } else {
-            EventKind::ALL
-                .iter()
-                .filter(|k| self.kinds.contains(**k))
-                .map(|k| k.as_str())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!("path={pattern};kinds={kinds};mdts=*")
-    }
-
     /// Whether `event` passes this filter.
     pub fn matches(&self, event: &StandardEvent) -> bool {
         if !self.kinds.contains(event.kind) {
@@ -171,41 +142,6 @@ mod tests {
         assert!(f.matches(&e));
         let f_dir = EventFilter::directory("/old");
         assert!(f_dir.matches(&e));
-    }
-
-    #[test]
-    fn class_key_is_canonical_pushdown_grammar() {
-        assert_eq!(EventFilter::all().class_key(), "path=/**;kinds=*;mdts=*");
-        assert_eq!(
-            EventFilter::subtree("/data/").class_key(),
-            "path=/data/**;kinds=*;mdts=*"
-        );
-        assert_eq!(
-            EventFilter::directory("/dir").class_key(),
-            "path=/dir/*;kinds=*;mdts=*"
-        );
-        let f = EventFilter::subtree("/d").with_kinds([EventKind::Delete, EventKind::Create]);
-        let key = f.class_key();
-        assert!(key.starts_with("path=/d/**;kinds="));
-        // Kind order is canonical regardless of construction order.
-        assert_eq!(
-            key,
-            EventFilter::subtree("/d")
-                .with_kinds([EventKind::Create, EventKind::Delete])
-                .class_key()
-        );
-    }
-
-    #[test]
-    fn equal_filters_share_a_class_key() {
-        assert_eq!(
-            EventFilter::subtree("/a").class_key(),
-            EventFilter::subtree("/a").class_key()
-        );
-        assert_ne!(
-            EventFilter::subtree("/a").class_key(),
-            EventFilter::directory("/a").class_key()
-        );
     }
 
     #[test]

@@ -522,18 +522,18 @@ impl Aggregator {
         &self.store
     }
 
-    /// Attach an in-process filtered subscriber (server-side filter
-    /// pushdown): registers `spec`'s class with the publisher and
-    /// returns a broadcast-ring cursor wrapped with store-backed gap
-    /// healing. Cost per subscriber is one ring cursor; N subscribers
-    /// of the same class share every frame.
-    pub fn subscribe_filtered(
+    /// Attach an in-process pushdown lane: registers `spec`'s class
+    /// with the publisher and returns a consumer lane reading the
+    /// class's broadcast ring, healing from this shard's store. Cost
+    /// per subscriber is one ring cursor; N subscribers of the same
+    /// class share every frame.
+    pub(crate) fn subscribe_filtered(
         &self,
         spec: &fsmon_rules::FilterSpec,
         name: &str,
-    ) -> crate::subscriber::FilteredSubscriber {
+    ) -> crate::Consumer {
         let cursor = self.lane.publisher.subscribe_class(&spec.canonical());
-        crate::subscriber::FilteredSubscriber::attach(cursor, spec, self.store.clone(), name)
+        crate::Consumer::attach_ring(cursor, spec, self.store.clone(), name)
     }
 
     /// Per-filter-class fan-out counters (consumers, frames, queue

@@ -1,4 +1,5 @@
-//! The consumer: client-side subscription with filtering and replay.
+//! The consumer lane: one shard's stream, made exactly-once against
+//! that shard's store.
 //!
 //! "Whenever a new event arrives to the consumer it filters the events
 //! and only passes on events related to those files and directories
@@ -6,29 +7,66 @@
 //! at the aggregator in order to alleviate potential overheads if a
 //! large number of consumers were to ask to monitor different files and
 //! directories" (§IV Consumption).
+//!
+//! A [`Consumer`] is one lane: one source of frames from one aggregator
+//! shard, plus the heal core. The source is one of
+//!
+//! * `events` frames on a [`SubSocket`] — the full stream, filtered
+//!   here by the lane's client-side [`EventFilter`] (the paper's
+//!   design);
+//! * one filter class's frames on a [`SubSocket`] — server-side
+//!   pushdown (see [`crate::fanout`]) over inproc or TCP;
+//! * one filter class's frames read from the publisher's broadcast
+//!   ring through a [`ClassCursor`] — pushdown with no socket at all.
+//!
+//! The heal core integrates every frame as an id range `first..=last`
+//! plus the subset of it the lane keeps. A dense `events` frame is its
+//! own range; a class frame carries its whole batch's range even when
+//! its subset is empty. So one rule covers every source: `first >
+//! watermark + 1` means ids were published that the lane never saw
+//! (a lost frame, a ring overrun, a crash between store and publish),
+//! and they are healed from the store through the lane's predicate. An
+//! id at or below the watermark that is not recorded missing is a
+//! restart re-publication, and is dropped. A lost tail has no later
+//! frame to reveal it; `catch_up` pulls the store past the watermark.
+//!
+//! The lane has no queue and no wait of its own. A federation
+//! ([`FederatedConsumer`](crate::FederatedConsumer) or
+//! [`FederatedFilteredConsumer`](crate::FederatedFilteredConsumer))
+//! polls its lanes, one per aggregator shard (K=1 included), into its
+//! own buffer and sleeps on one [`ArrivalSignal`] for all of them.
 
-use fsmon_core::EventFilter;
+use crate::fanout::{ClassMeta, CLASS_TOPIC};
+use fsmon_core::{EventFilter, ShardMerger};
 use fsmon_events::wire::{find_tlv, TLV_TRACE};
 use fsmon_events::{decode_event_batch, EventId, StandardEvent};
 use fsmon_faults::Retry;
-use fsmon_mq::{Context, Message, SubSocket};
+use fsmon_mq::{ArrivalSignal, ClassCursor, Context, Message, RingPoll, SubSocket};
+use fsmon_rules::{CompiledFilter, FilterSpec};
 use fsmon_store::EventStore;
-use fsmon_telemetry::{trace, TraceRecord, TraceStage, Tracer};
+use fsmon_telemetry::{trace, Counter, TraceRecord, TraceStage, Tracer};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Duplicate/gap/reconnect counters — the consumer's view of how much
-/// recovery machinery fired beneath it.
-#[derive(Debug, Clone, Copy, Default)]
+/// What a consumer delivered and how much recovery machinery fired
+/// beneath it. Every consumer shape reports this one struct; a
+/// federation sums it over its lanes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConsumerRecoveryStats {
-    /// Events dropped because their id was already seen.
+    /// Events handed to the application, live and healed, after
+    /// filtering.
+    pub delivered: u64,
+    /// Frames integrated.
+    pub frames: u64,
+    /// Class frames lost: class-sequence gaps and ring overruns.
+    pub frames_lost: u64,
+    /// Events dropped because their id was already integrated.
     pub duplicates_dropped: u64,
-    /// Sequence-id gaps observed in the live stream.
+    /// Id-range gaps observed in the live stream.
     pub gaps_detected: u64,
-    /// Events recovered from the reliable store to fill gaps.
+    /// Events recovered from the reliable store (gaps and lost tails),
+    /// counted before filtering.
     pub gap_events_healed: u64,
     /// Successful reconnects after a broken aggregator link.
     pub reconnects: u64,
@@ -38,294 +76,195 @@ pub struct ConsumerRecoveryStats {
     pub wait_timeouts: u64,
 }
 
-/// A consumer attached to the aggregator.
-pub struct Consumer {
-    sub: SubSocket,
-    filter: Mutex<EventFilter>,
-    store: Option<Arc<dyn EventStore>>,
-    pending: Mutex<VecDeque<StandardEvent>>,
-    /// Ids known missing (seen a later id live, not yet healed).
-    missing: Mutex<BTreeSet<EventId>>,
-    retry: Retry,
-    /// Stamps the deliver stage on arriving trace records and folds
-    /// completed traces into the latency histograms. Disabled unless
-    /// set by [`connect_traced`](Consumer::connect_traced).
-    tracer: Tracer,
-    /// Events accepted by the filter.
-    accepted: AtomicU64,
-    /// Events discarded by the filter.
-    filtered_out: AtomicU64,
-    /// Highest event id seen (resume point after a fault).
-    last_seen: AtomicU64,
-    duplicates_dropped: AtomicU64,
-    gaps_detected: AtomicU64,
-    gap_events_healed: AtomicU64,
-    reconnects: AtomicU64,
-    wait_timeouts: AtomicU64,
-    t_delivered: Arc<fsmon_telemetry::Counter>,
-    t_filtered: Arc<fsmon_telemetry::Counter>,
-    t_duplicates: Arc<fsmon_telemetry::Counter>,
-    t_gaps: Arc<fsmon_telemetry::Counter>,
-    t_healed: Arc<fsmon_telemetry::Counter>,
-    t_reconnects: Arc<fsmon_telemetry::Counter>,
-    t_wait_timeouts: Arc<fsmon_telemetry::Counter>,
-}
-
-impl Consumer {
-    /// Connect to the aggregator at `endpoint`. `store` enables the
-    /// historic-replay API (`None` for stateless consumers). Counters
-    /// carry the label set `{consumer="main"}`; use
-    /// [`connect_named`](Consumer::connect_named) to tell multiple
-    /// consumers apart in `fsmon stats` output.
-    pub fn connect(
-        ctx: &Context,
-        endpoint: &str,
-        filter: EventFilter,
-        store: Option<Arc<dyn EventStore>>,
-    ) -> Result<Consumer, fsmon_mq::MqError> {
-        Self::connect_named(ctx, endpoint, filter, store, "main")
-    }
-
-    /// [`connect`](Consumer::connect) with an explicit consumer name:
-    /// every counter this consumer reports carries the label
-    /// `consumer=<name>`, so per-consumer delivery/filtering is visible
-    /// in snapshots while `Snapshot::counter` still sums the total.
-    pub fn connect_named(
-        ctx: &Context,
-        endpoint: &str,
-        filter: EventFilter,
-        store: Option<Arc<dyn EventStore>>,
-        name: &str,
-    ) -> Result<Consumer, fsmon_mq::MqError> {
-        Self::connect_traced(ctx, endpoint, filter, store, name, Tracer::disabled())
-    }
-
-    /// [`connect_named`](Consumer::connect_named) with a [`Tracer`]:
-    /// trace records arriving behind event frames get their deliver
-    /// stage stamped with the tracer's clock, completing the end-to-end
-    /// trace, and are folded into the per-stage/per-MDT latency
-    /// histograms (and the worst-case exemplar).
-    pub fn connect_traced(
-        ctx: &Context,
-        endpoint: &str,
-        filter: EventFilter,
-        store: Option<Arc<dyn EventStore>>,
-        name: &str,
-        tracer: Tracer,
-    ) -> Result<Consumer, fsmon_mq::MqError> {
-        let sub = ctx.subscriber();
-        sub.connect(endpoint)?;
-        sub.subscribe(b"events");
-        // Same instruments the core interface layer's fan-out reports
-        // into: "consumer delivered" means the same thing in both
-        // pipelines.
-        let scope = fsmon_telemetry::root()
-            .scope("consumer")
-            .with_label("consumer", name);
-        Ok(Consumer {
-            sub,
-            filter: Mutex::new(filter),
-            store,
-            pending: Mutex::new(VecDeque::new()),
-            missing: Mutex::new(BTreeSet::new()),
-            retry: Retry::fast(),
-            tracer,
-            accepted: AtomicU64::new(0),
-            filtered_out: AtomicU64::new(0),
-            last_seen: AtomicU64::new(0),
-            duplicates_dropped: AtomicU64::new(0),
-            gaps_detected: AtomicU64::new(0),
-            gap_events_healed: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            wait_timeouts: AtomicU64::new(0),
-            t_delivered: scope.counter("delivered_total"),
-            t_filtered: scope.counter("filtered_total"),
-            t_duplicates: scope.counter("duplicates_dropped_total"),
-            t_gaps: scope.counter("gaps_detected_total"),
-            t_healed: scope.counter("gap_events_healed_total"),
-            t_reconnects: scope.counter("reconnects_total"),
-            t_wait_timeouts: scope.counter("wait_timeouts_total"),
+impl std::iter::Sum for ConsumerRecoveryStats {
+    fn sum<I: Iterator<Item = ConsumerRecoveryStats>>(lanes: I) -> ConsumerRecoveryStats {
+        lanes.fold(ConsumerRecoveryStats::default(), |t, one| {
+            ConsumerRecoveryStats {
+                delivered: t.delivered + one.delivered,
+                frames: t.frames + one.frames,
+                frames_lost: t.frames_lost + one.frames_lost,
+                duplicates_dropped: t.duplicates_dropped + one.duplicates_dropped,
+                gaps_detected: t.gaps_detected + one.gaps_detected,
+                gap_events_healed: t.gap_events_healed + one.gap_events_healed,
+                reconnects: t.reconnects + one.reconnects,
+                wait_timeouts: t.wait_timeouts + one.wait_timeouts,
+            }
         })
     }
+}
 
-    /// Change the subscription filter (the paper's recursive monitoring
-    /// is "just modifying the filtering rule", §V-C1).
-    pub fn set_filter(&self, filter: EventFilter) {
-        *self.filter.lock() = filter;
-    }
+/// What a lane keeps of the ids it integrates.
+enum Predicate {
+    /// The full stream, filtered here (§IV Consumption).
+    Client(EventFilter),
+    /// One pushdown class: live subsets arrive matched, so only events
+    /// read back from the store are matched here.
+    Class(CompiledFilter),
+}
 
-    /// `(accepted, filtered_out)` so far.
-    pub fn filter_stats(&self) -> (u64, u64) {
-        (
-            self.accepted.load(Ordering::Relaxed),
-            self.filtered_out.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Highest event id this consumer has observed.
-    pub fn last_seen(&self) -> EventId {
-        self.last_seen.load(Ordering::Relaxed)
-    }
-
-    /// Treat everything up to `cursor` as already seen — the resume
-    /// point when a federated consumer is rebuilt from a persisted
-    /// vector watermark ([`catch_up`](Consumer::catch_up) then replays
-    /// exactly the store's suffix past the cursor). Never regresses:
-    /// resuming below the current position is a no-op, so a stale
-    /// cursor cannot re-deliver events this incarnation already saw.
-    pub fn resume_from(&self, cursor: EventId) {
-        self.last_seen.fetch_max(cursor, Ordering::Relaxed);
-    }
-
-    /// Duplicate/gap/reconnect counters so far.
-    pub fn recovery_stats(&self) -> ConsumerRecoveryStats {
-        ConsumerRecoveryStats {
-            duplicates_dropped: self.duplicates_dropped.load(Ordering::Relaxed),
-            gaps_detected: self.gaps_detected.load(Ordering::Relaxed),
-            gap_events_healed: self.gap_events_healed.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            wait_timeouts: self.wait_timeouts.load(Ordering::Relaxed),
+impl Predicate {
+    fn matches(&self, ev: &StandardEvent) -> bool {
+        match self {
+            Predicate::Client(filter) => filter.matches(ev),
+            Predicate::Class(filter) => filter.matches_event(ev),
         }
     }
+}
 
-    /// Bump `signal` whenever a frame arrives on this consumer's
-    /// socket, so a federation of consumers can sleep on all of its
-    /// lanes at once. `false` if this consumer already reports to
-    /// another signal.
-    pub(crate) fn notify_arrivals(&self, signal: Arc<fsmon_mq::ArrivalSignal>) -> bool {
-        self.sub.notify_arrivals(signal)
-    }
+/// The live side of [`ConsumerRecoveryStats`], plus the filtered-out
+/// count. An unfiltered lane reports as `fsmon_consumer_*`, a pushdown
+/// lane as `fsmon_subscriber_filtered_*`, both labelled
+/// `consumer=<name>`; a count one family has no metric for goes to a
+/// counter outside the registry.
+struct Meters {
+    delivered: Arc<Counter>,
+    filtered: Arc<Counter>,
+    duplicates: Arc<Counter>,
+    gaps: Arc<Counter>,
+    healed: Arc<Counter>,
+    frames_lost: Arc<Counter>,
+    reconnects: Arc<Counter>,
+    wait_timeouts: Arc<Counter>,
+}
 
-    /// Count one blocking wait that ran out its budget empty-handed.
-    pub(crate) fn note_wait_timeout(&self) {
-        self.wait_timeouts.fetch_add(1, Ordering::Relaxed);
-        self.t_wait_timeouts.inc();
-    }
+/// Each [`Meters`] field's metric name: (unfiltered lane, pushdown
+/// lane), `""` for none.
+const METRICS: [(&str, &str); 8] = [
+    ("delivered_total", "filtered_delivered_total"),
+    ("filtered_total", ""),
+    ("duplicates_dropped_total", ""),
+    ("gaps_detected_total", "filtered_gaps_detected_total"),
+    ("gap_events_healed_total", "filtered_healed_total"),
+    ("", "filtered_frames_lost_total"),
+    ("reconnects_total", ""),
+    ("wait_timeouts_total", ""),
+];
 
-    fn ingest(&self, events: Vec<StandardEvent>) {
-        for ev in events {
-            self.ingest_live(ev);
+impl Meters {
+    fn new(pushdown: bool, name: &str) -> Meters {
+        let scope = fsmon_telemetry::root()
+            .scope(if pushdown { "subscriber" } else { "consumer" })
+            .with_label("consumer", name);
+        let [delivered, filtered, duplicates, gaps, healed, frames_lost, reconnects, wait_timeouts] =
+            METRICS.map(|(unfiltered, pushed)| {
+                let metric = if pushdown { pushed } else { unfiltered };
+                if metric.is_empty() {
+                    Arc::new(Counter::new())
+                } else {
+                    scope.counter(metric)
+                }
+            });
+        Meters {
+            delivered,
+            filtered,
+            duplicates,
+            gaps,
+            healed,
+            frames_lost,
+            reconnects,
+            wait_timeouts,
         }
     }
+}
 
-    /// Decode one live frame into the pending queue, completing any
-    /// trace records riding behind it.
-    fn ingest_frame(&self, msg: &Message) {
-        if let Some(payload) = msg.part_bytes(1) {
-            if let Ok(events) = decode_event_batch(&payload) {
-                self.fold_traces(msg.part(2));
-                self.ingest(events);
+/// The one gap-heal and dedup routine every lane runs (see module
+/// docs).
+struct HealCore {
+    store: Option<Arc<dyn EventStore>>,
+    predicate: Predicate,
+    retry: Retry,
+    /// Highest id integrated: delivered, dropped by the predicate, or
+    /// recorded missing. `None` until an unfiltered lane's first frame
+    /// or `resume_from`: such a lane is live-only and does not heal the
+    /// prefix before it attached.
+    watermark: Option<EventId>,
+    /// Ids published in a range this lane never saw, not yet produced
+    /// by the store.
+    missing: BTreeSet<EventId>,
+    /// Next expected class-frame sequence.
+    next_seq: Option<u64>,
+    stats: ConsumerRecoveryStats,
+    meters: Meters,
+}
+
+impl HealCore {
+    /// Count the class frames a jump to `class_seq` skipped.
+    fn sequence(&mut self, class_seq: u64) {
+        if let Some(expected) = self.next_seq.filter(|&expected| class_seq > expected) {
+            self.lose_frames(class_seq - expected);
+        }
+        self.next_seq = Some(class_seq + 1);
+    }
+
+    /// Integrate one frame: its id range and the subset of it this
+    /// lane keeps.
+    fn integrate(
+        &mut self,
+        first: EventId,
+        last: EventId,
+        subset: Vec<StandardEvent>,
+        out: &mut Vec<StandardEvent>,
+    ) {
+        self.stats.frames += 1;
+        let mark = *self.watermark.get_or_insert(first.saturating_sub(1));
+        if first > mark + 1 {
+            self.stats.gaps_detected += 1;
+            self.meters.gaps.inc();
+            self.missing.extend(mark + 1..first);
+            self.heal(out);
+        }
+        for ev in subset {
+            if ev.id > mark || self.missing.remove(&ev.id) {
+                out.push(ev);
+            } else {
+                self.stats.duplicates_dropped += 1;
+                self.meters.duplicates.inc();
             }
         }
+        self.watermark = Some(mark.max(last));
     }
 
-    /// Terminal trace stage: stamp `deliver` on each record arriving in
-    /// the frame's trace part and fold the completed trace into the
-    /// per-stage/per-MDT latency histograms and the exemplar. Requires
-    /// a tracer (its clock must match the stamps upstream stages used).
-    fn fold_traces(&self, frame: Option<&[u8]>) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let Some(records) = frame
-            .and_then(|f| find_tlv(f, TLV_TRACE).ok().flatten())
-            .and_then(TraceRecord::decode_all)
-        else {
-            return;
-        };
-        let deliver_ns = self.tracer.now_ns();
-        for mut rec in records {
-            rec.stamp(TraceStage::Deliver, deliver_ns);
-            trace::fold_delivered(&rec);
-        }
+    fn lose_frames(&mut self, n: u64) {
+        self.stats.frames_lost += n;
+        self.meters.frames_lost.add(n);
     }
 
-    /// Take one event from the live stream: drop duplicates (an
-    /// at-least-once upstream may re-deliver after a restart), note and
-    /// heal sequence gaps (events published while this consumer was
-    /// disconnected), then filter.
-    fn ingest_live(&self, ev: StandardEvent) {
-        if ev.id > 0 {
-            let last = self.last_seen.load(Ordering::Relaxed);
-            if ev.id <= last {
-                self.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
-                self.t_duplicates.inc();
-                return;
-            }
-            if last > 0 && ev.id > last + 1 {
-                // Heal before pushing `ev` so recovered events keep
-                // stream order in the pending queue.
-                self.note_gap(last + 1, ev.id - 1);
-            }
-            self.last_seen.fetch_max(ev.id, Ordering::Relaxed);
-        }
-        self.deliver(ev);
-    }
-
-    /// Filter one event into the pending queue (or the filtered count).
-    fn deliver(&self, ev: StandardEvent) {
-        let matches = self.filter.lock().matches(&ev);
-        if matches {
-            self.accepted.fetch_add(1, Ordering::Relaxed);
-            self.t_delivered.inc();
-            self.pending.lock().push_back(ev);
+    /// Count one event read back from the store and keep it if the
+    /// predicate does.
+    fn recover(&mut self, ev: StandardEvent, out: &mut Vec<StandardEvent>) {
+        self.stats.gap_events_healed += 1;
+        self.meters.healed.inc();
+        if self.predicate.matches(&ev) {
+            out.push(ev);
         } else {
-            self.filtered_out.fetch_add(1, Ordering::Relaxed);
-            self.t_filtered.inc();
+            self.meters.filtered.inc();
         }
     }
 
-    /// Record ids `from..=to` as missing and try to heal them from the
-    /// reliable store right away.
-    fn note_gap(&self, from: EventId, to: EventId) {
-        self.gaps_detected.fetch_add(1, Ordering::Relaxed);
-        self.t_gaps.inc();
-        self.missing.lock().extend(from..=to);
-        self.heal_missing();
-    }
-
-    /// Fetch known-missing events from the reliable store, retrying
-    /// briefly (the aggregator's store lane may run behind its publish
-    /// lane). Healed events flow through the normal filter path and are
-    /// counted as `gap_events_healed`. Ids the store still cannot
-    /// produce stay recorded; [`catch_up`](Consumer::catch_up) retries
-    /// them later. Returns the number of events healed by this call.
-    pub fn heal_missing(&self) -> usize {
-        let Some(store) = &self.store else {
+    /// Fetch known-missing ids from the store, retrying briefly (the
+    /// store lane may run behind the publish lane). Ids the store
+    /// cannot produce yet stay recorded for the next attempt. Returns
+    /// the number of events recovered.
+    fn heal(&mut self, out: &mut Vec<StandardEvent>) -> usize {
+        let Some(store) = self.store.clone() else {
             return 0;
         };
-        let mut healed = 0usize;
+        let mut healed = 0;
         let mut backoff = self.retry.backoff();
-        loop {
-            let (lo, hi, want) = {
-                let missing = self.missing.lock();
-                match (missing.first(), missing.last()) {
-                    (Some(&lo), Some(&hi)) => (lo, hi, missing.len()),
-                    _ => break,
+        while let (Some(&lo), Some(&hi)) = (self.missing.first(), self.missing.last()) {
+            let want = self.missing.len();
+            let fetched = store.get_since(lo - 1, (hi - lo + 1) as usize);
+            for ev in fetched.unwrap_or_default() {
+                if ev.id > hi {
+                    break;
                 }
-            };
-            let span = (hi - lo + 1) as usize;
-            let fetched = store.get_since(lo - 1, span).unwrap_or_default();
-            let mut recovered = Vec::new();
-            {
-                let mut missing = self.missing.lock();
-                for ev in fetched {
-                    if ev.id > hi {
-                        break;
-                    }
-                    if missing.remove(&ev.id) {
-                        recovered.push(ev);
-                    }
+                if self.missing.remove(&ev.id) {
+                    healed += 1;
+                    self.recover(ev, out);
                 }
             }
-            for ev in recovered {
-                self.gap_events_healed.fetch_add(1, Ordering::Relaxed);
-                self.t_healed.inc();
-                self.deliver(ev);
-                healed += 1;
-            }
-            if self.missing.lock().len() < want {
-                // Progress — reset the clock before the next round.
+            if self.missing.len() < want {
+                // Progress: reset the clock before the next round.
                 backoff = self.retry.backoff();
                 continue;
             }
@@ -337,49 +276,67 @@ impl Consumer {
         healed
     }
 
-    /// Recover everything this consumer can still be missing: heal
-    /// recorded gaps, then pull any events the store holds beyond the
-    /// highest id seen live (a tail lost to a disconnect has no later
-    /// event to reveal it as a gap). Returns the number of events
-    /// recovered.
-    pub fn catch_up(&self) -> usize {
-        let mut recovered = self.heal_missing();
-        let Some(store) = &self.store else {
+    /// Recover everything the lane can still be missing: recorded
+    /// gaps, then the store's tail past the watermark. Returns the
+    /// number of events recovered.
+    fn catch_up(&mut self, out: &mut Vec<StandardEvent>) -> usize {
+        let mut recovered = self.heal(out);
+        let Some(store) = self.store.clone() else {
             return recovered;
         };
         loop {
-            let since = self.last_seen.load(Ordering::Relaxed);
-            let tail = match store.get_since(since, 4096) {
-                Ok(tail) if tail.is_empty() => break,
-                Ok(tail) => tail,
-                Err(_) => break,
-            };
-            for ev in tail {
-                if ev.id > 0 && ev.id <= self.last_seen.load(Ordering::Relaxed) {
-                    continue;
+            let since = self.watermark.unwrap_or(0);
+            for ev in store.get_since(since, 4096).unwrap_or_default() {
+                if ev.id > self.watermark.unwrap_or(0) {
+                    self.watermark = Some(ev.id);
+                    recovered += 1;
+                    self.recover(ev, out);
                 }
-                self.last_seen.fetch_max(ev.id, Ordering::Relaxed);
-                self.gap_events_healed.fetch_add(1, Ordering::Relaxed);
-                self.t_healed.inc();
-                self.deliver(ev);
-                recovered += 1;
+            }
+            if self.watermark.unwrap_or(0) == since {
+                return recovered;
             }
         }
-        recovered
     }
 
-    /// Re-dial the aggregator after a broken link, with backoff. Any
-    /// events missed while down surface as a sequence gap (healed from
-    /// the store) or via [`catch_up`](Consumer::catch_up).
-    fn try_reconnect(&self) {
+    /// Integrate one frame, whichever kind it is. A frame that does not
+    /// decode is skipped; its ids surface as a gap on the next one.
+    fn ingest(&mut self, msg: &Message, tracer: &Tracer, out: &mut Vec<StandardEvent>) {
+        let decode = |part| {
+            msg.part_bytes(part)
+                .and_then(|p| decode_event_batch(&p).ok())
+        };
+        if msg.topic() == CLASS_TOPIC {
+            if let (Some(meta), Some(subset)) = (msg.part(1).and_then(ClassMeta::decode), decode(2))
+            {
+                self.sequence(meta.class_seq);
+                self.integrate(meta.first_id, meta.last_id, subset, out);
+            }
+            return;
+        }
+        let Some(mut events) = decode(1) else {
+            return;
+        };
+        fold_traces(tracer, msg.part(2));
+        let (Some(first), Some(last)) = (events.first().map(|e| e.id), events.last().map(|e| e.id))
+        else {
+            return;
+        };
+        let all = events.len();
+        events.retain(|ev| self.predicate.matches(ev));
+        self.meters.filtered.add((all - events.len()) as u64);
+        self.integrate(first, last, events, out);
+    }
+
+    /// Re-dial a broken aggregator link, with backoff. Whatever was
+    /// published meanwhile surfaces as a gap or through `catch_up`.
+    fn reconnect(&mut self, sub: &SubSocket) {
         let mut backoff = self.retry.backoff();
         loop {
-            if let Ok(n) = self.sub.reconnect() {
-                if !self.sub.disconnected() {
-                    if n > 0 {
-                        self.reconnects.fetch_add(n as u64, Ordering::Relaxed);
-                        self.t_reconnects.add(n as u64);
-                    }
+            if let Ok(n) = sub.reconnect() {
+                if !sub.disconnected() {
+                    self.stats.reconnects += n as u64;
+                    self.meters.reconnects.add(n as u64);
                     return;
                 }
             }
@@ -389,132 +346,291 @@ impl Consumer {
             }
         }
     }
+}
 
-    /// Drain the socket into the pending queue. Returns as soon as at
-    /// least one *filter-matching* event is pending (callers waiting in
-    /// `recv` must not sleep out their full timeout once the event has
-    /// arrived), when the socket goes quiet, or at the deadline.
-    fn pump_socket(&self, budget: Duration) {
-        if self.sub.disconnected() {
-            self.try_reconnect();
-        }
-        let deadline = Instant::now() + budget;
-        loop {
-            let msg = match self.sub.try_recv() {
-                Some(msg) => Some(msg),
-                None => {
-                    if !self.pending.lock().is_empty() || Instant::now() >= deadline {
-                        return;
+/// Terminal trace stage: stamp `deliver` on each record riding behind
+/// an `events` frame and fold the completed trace into the
+/// per-stage/per-MDT latency histograms and the exemplar. The tracer's
+/// clock must match the one upstream stages stamped with.
+fn fold_traces(tracer: &Tracer, part: Option<&[u8]>) {
+    if !tracer.enabled() {
+        return;
+    }
+    let Some(records) = part
+        .and_then(|f| find_tlv(f, TLV_TRACE).ok().flatten())
+        .and_then(TraceRecord::decode_all)
+    else {
+        return;
+    };
+    let deliver_ns = tracer.now_ns();
+    for mut rec in records {
+        rec.stamp(TraceStage::Deliver, deliver_ns);
+        trace::fold_delivered(&rec);
+    }
+}
+
+enum Source {
+    Socket(SubSocket),
+    Ring(ClassCursor),
+}
+
+struct Lane {
+    source: Source,
+    core: HealCore,
+    tracer: Tracer,
+}
+
+/// One consumer lane: a source of frames from one aggregator shard and
+/// the heal core over that shard's store. See module docs.
+pub struct Consumer(Mutex<Lane>);
+
+impl Consumer {
+    /// Connect to the aggregator at `endpoint`. `store` enables healing
+    /// and replay (`None` for a stateless consumer). Counters carry the
+    /// label set `{consumer="main"}`; use
+    /// [`connect_traced`](Consumer::connect_traced) to tell consumers
+    /// apart in `fsmon stats` output.
+    pub fn connect(
+        ctx: &Context,
+        endpoint: &str,
+        filter: EventFilter,
+        store: Option<Arc<dyn EventStore>>,
+    ) -> Result<Consumer, fsmon_mq::MqError> {
+        Self::connect_traced(ctx, endpoint, filter, store, "main", Tracer::disabled())
+    }
+
+    /// [`connect`](Consumer::connect) with an explicit consumer name
+    /// and a [`Tracer`]. Every counter this consumer reports carries
+    /// the label `consumer=<name>`, so per-consumer delivery/filtering
+    /// is visible in snapshots while `Snapshot::counter` still sums the
+    /// total. Trace records arriving behind event frames get their
+    /// deliver stage stamped with the tracer's clock, completing the
+    /// end-to-end trace, and are folded into the per-stage/per-MDT
+    /// latency histograms (and the worst-case exemplar); pass
+    /// `Tracer::disabled()` to skip that.
+    pub fn connect_traced(
+        ctx: &Context,
+        endpoint: &str,
+        filter: EventFilter,
+        store: Option<Arc<dyn EventStore>>,
+        name: &str,
+        tracer: Tracer,
+    ) -> Result<Consumer, fsmon_mq::MqError> {
+        let sub = ctx.subscriber();
+        sub.connect(endpoint)?;
+        sub.subscribe(b"events");
+        let (source, predicate) = (Source::Socket(sub), Predicate::Client(filter));
+        Ok(Consumer::new(source, predicate, store, name, tracer))
+    }
+
+    /// A pushdown lane over a socket. `spec` travels to the publisher
+    /// at connect time (`CTRL_FILTER`, acknowledged over TCP), so only
+    /// its class's frames cross the wire; what was sequenced earlier is
+    /// backfilled from `store`.
+    pub(crate) fn connect_class(
+        ctx: &Context,
+        endpoint: &str,
+        spec: &FilterSpec,
+        store: Arc<dyn EventStore>,
+        name: &str,
+    ) -> Result<Consumer, fsmon_mq::MqError> {
+        let sub = ctx.subscriber();
+        sub.subscribe_filter(&spec.canonical());
+        sub.connect(endpoint)?;
+        let class = Predicate::Class(spec.compile());
+        let source = Source::Socket(sub);
+        Ok(Consumer::new(
+            source,
+            class,
+            Some(store),
+            name,
+            Tracer::disabled(),
+        ))
+    }
+
+    /// A pushdown lane reading its class's broadcast ring in-process.
+    pub(crate) fn attach_ring(
+        cursor: ClassCursor,
+        spec: &FilterSpec,
+        store: Arc<dyn EventStore>,
+        name: &str,
+    ) -> Consumer {
+        let class = Predicate::Class(spec.compile());
+        let source = Source::Ring(cursor);
+        Consumer::new(source, class, Some(store), name, Tracer::disabled())
+    }
+
+    fn new(
+        source: Source,
+        predicate: Predicate,
+        store: Option<Arc<dyn EventStore>>,
+        name: &str,
+        tracer: Tracer,
+    ) -> Consumer {
+        let pushdown = matches!(predicate, Predicate::Class(_));
+        let core = HealCore {
+            store,
+            predicate,
+            retry: Retry::fast(),
+            // The two start rules: a pushdown lane backfills its class
+            // from id 1, an unfiltered lane starts live.
+            watermark: pushdown.then_some(0),
+            missing: BTreeSet::new(),
+            next_seq: None,
+            stats: ConsumerRecoveryStats::default(),
+            meters: Meters::new(pushdown, name),
+        };
+        Consumer(Mutex::new(Lane {
+            source,
+            core,
+            tracer,
+        }))
+    }
+
+    /// Integrate every frame that has already arrived, appending what
+    /// the lane delivers to `out`. Never waits, except to re-dial a
+    /// broken link.
+    pub(crate) fn poll(&self, out: &mut Vec<StandardEvent>) {
+        let lane = &mut *self.0.lock();
+        let (core, tracer) = (&mut lane.core, &lane.tracer);
+        let before = out.len();
+        match &mut lane.source {
+            Source::Socket(sub) => {
+                if sub.disconnected() {
+                    core.reconnect(sub);
+                }
+                while let Some(msg) = sub.try_recv() {
+                    core.ingest(&msg, tracer, out);
+                }
+            }
+            Source::Ring(cursor) => loop {
+                match cursor.poll() {
+                    RingPoll::Empty => break,
+                    RingPoll::Overrun { missed } => {
+                        // The next frame's range bounds the heal; only
+                        // the loss is counted here.
+                        core.lose_frames(missed);
+                        core.next_seq = Some(cursor.position());
                     }
-                    self.sub.recv_timeout(deadline - Instant::now()).ok()
+                    RingPoll::Frame(msg) => core.ingest(&msg, tracer, out),
                 }
-            };
-            let Some(msg) = msg else {
-                self.note_wait_timeout();
-                return;
-            };
-            self.ingest_frame(&msg);
-            if !self.pending.lock().is_empty() {
-                // Sweep whatever else is already queued, then hand back.
-                while let Some(extra) = self.sub.try_recv() {
-                    self.ingest_frame(&extra);
-                }
-                return;
-            }
-            if Instant::now() >= deadline {
-                return;
-            }
+            },
+        }
+        Self::count_delivered(core, out.len() - before);
+    }
+
+    /// Heal recorded gaps and pull the store's tail past the
+    /// watermark into `out`. Returns the number of events recovered
+    /// from the store, before filtering.
+    pub(crate) fn catch_up(&self, out: &mut Vec<StandardEvent>) -> usize {
+        let core = &mut self.0.lock().core;
+        let before = out.len();
+        let recovered = core.catch_up(out);
+        Self::count_delivered(core, out.len() - before);
+        recovered
+    }
+
+    fn count_delivered(core: &mut HealCore, n: usize) {
+        core.stats.delivered += n as u64;
+        core.meters.delivered.add(n as u64);
+    }
+
+    /// Treat everything up to `cursor` as already seen: the resume
+    /// point when a consumer is rebuilt from a persisted watermark
+    /// (`catch_up` then replays exactly the store's suffix past it).
+    /// Never regresses.
+    pub(crate) fn resume_from(&self, cursor: EventId) {
+        let core = &mut self.0.lock().core;
+        core.watermark = Some(core.watermark.map_or(cursor, |w| w.max(cursor)));
+    }
+
+    /// Highest id integrated (0 before the first frame).
+    pub(crate) fn watermark(&self) -> EventId {
+        self.0.lock().core.watermark.unwrap_or(0)
+    }
+
+    pub(crate) fn stats(&self) -> ConsumerRecoveryStats {
+        self.0.lock().core.stats
+    }
+
+    /// Count one blocking wait that ran out its budget empty-handed.
+    pub(crate) fn note_wait_timeout(&self) {
+        let core = &mut self.0.lock().core;
+        core.stats.wait_timeouts += 1;
+        core.meters.wait_timeouts.inc();
+    }
+
+    /// Bump `signal` whenever a frame reaches this lane's socket.
+    /// `false` for a ring lane, or a socket that already reports to
+    /// another signal.
+    pub(crate) fn notify_arrivals(&self, signal: Arc<ArrivalSignal>) -> bool {
+        match &self.0.lock().source {
+            Source::Socket(sub) => sub.notify_arrivals(signal),
+            Source::Ring(_) => false,
         }
     }
 
-    /// Receive one filtered event, waiting up to `timeout`.
-    pub fn recv(&self, timeout: Duration) -> Option<StandardEvent> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(ev) = self.pending.lock().pop_front() {
-                return Some(ev);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            self.pump_socket(deadline - Instant::now());
-            if self.pending.lock().is_empty() && Instant::now() >= deadline {
-                return None;
-            }
-        }
+    /// Replace the client-side filter.
+    pub(crate) fn set_filter(&self, filter: EventFilter) {
+        self.0.lock().core.predicate = Predicate::Client(filter);
     }
 
-    /// Receive up to `max` filtered events, waiting up to `timeout`
-    /// for the first.
-    pub fn recv_batch(&self, max: usize, timeout: Duration) -> Vec<StandardEvent> {
-        let mut out = Vec::new();
-        if let Some(first) = self.recv(timeout) {
-            out.push(first);
-        } else {
-            return out;
-        }
-        self.pump_socket(Duration::from_millis(1));
-        let mut pending = self.pending.lock();
-        while out.len() < max {
-            match pending.pop_front() {
-                Some(ev) => out.push(ev),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Drain everything currently buffered (no waiting beyond a single
-    /// socket sweep).
-    pub fn drain(&self) -> Vec<StandardEvent> {
-        self.take_pending(Duration::from_millis(1))
-    }
-
-    /// [`drain`](Consumer::drain) that never waits: whatever has
-    /// already arrived.
-    pub(crate) fn poll(&self) -> Vec<StandardEvent> {
-        self.take_pending(Duration::ZERO)
-    }
-
-    fn take_pending(&self, budget: Duration) -> Vec<StandardEvent> {
-        self.pump_socket(budget);
-        self.pending.lock().drain(..).collect()
-    }
-
-    /// Replay historic events with id greater than `since` from the
-    /// reliable store — the fault-recovery path ("the consumer service
-    /// is also responsible for retrieving the historic events … in the
-    /// situation that a consumer has failed", §IV Consumption). Replayed
-    /// events pass through the same filter.
-    pub fn replay_since(
+    /// Historic events with id greater than `since` from the store,
+    /// through the lane's predicate — the fault-recovery path ("the
+    /// consumer service is also responsible for retrieving the historic
+    /// events … in the situation that a consumer has failed", §IV
+    /// Consumption).
+    pub(crate) fn replay_since(
         &self,
         since: EventId,
         max: usize,
     ) -> Result<Vec<StandardEvent>, fsmon_store::StoreError> {
-        let Some(store) = &self.store else {
+        let core = &self.0.lock().core;
+        let Some(store) = &core.store else {
             return Ok(Vec::new());
         };
-        let filter = self.filter.lock().clone();
-        let events = store.get_since(since, max)?;
-        Ok(events.into_iter().filter(|e| filter.matches(e)).collect())
+        let mut events = store.get_since(since, max)?;
+        events.retain(|ev| core.predicate.matches(ev));
+        Ok(events)
     }
 
-    /// Flag replayed events as reported so the next purge cycle can
-    /// remove them.
-    pub fn ack(&self, up_to: EventId) -> Result<(), fsmon_store::StoreError> {
-        if let Some(store) = &self.store {
-            store.mark_reported(up_to)?;
+    /// Flag events up to `up_to` as reported so the next purge cycle
+    /// can remove them.
+    pub(crate) fn ack(&self, up_to: EventId) -> Result<(), fsmon_store::StoreError> {
+        match &self.0.lock().core.store {
+            Some(store) => store.mark_reported(up_to),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
+
+/// Run `step` on every lane into a window of its own and merge the
+/// windows: each shard's order is kept, shards interleave by timestamp.
+pub(crate) fn merged<'a>(
+    lanes: impl Iterator<Item = &'a Consumer>,
+    merger: &mut ShardMerger,
+    mut step: impl FnMut(&Consumer, &mut Vec<StandardEvent>),
+) -> Vec<StandardEvent> {
+    let mut windows: Vec<Vec<StandardEvent>> = lanes
+        .map(|lane| {
+            let mut window = Vec::new();
+            step(lane, &mut window);
+            window
+        })
+        .collect();
+    merger.merge(&mut windows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FanoutEngine, FederatedConsumer, FederatedFilteredConsumer};
+    use bytes::BytesMut;
+    use fsmon_core::VectorWatermark;
+    use fsmon_events::wire::encode_event_batch_offsets;
     use fsmon_events::{encode_event_batch, EventKind};
-    use fsmon_mq::Message;
-    use fsmon_store::{EventStore, MemStore};
+    use fsmon_store::MemStore;
+    use std::time::{Duration, Instant};
 
     fn publish(publisher: &fsmon_mq::PubSocket, events: &[StandardEvent]) {
         publisher
@@ -531,13 +647,22 @@ mod tests {
         e
     }
 
+    /// A K=1 federation over one unfiltered lane.
+    fn consumer(
+        ctx: &Context,
+        filter: EventFilter,
+        store: Option<Arc<dyn EventStore>>,
+    ) -> FederatedConsumer {
+        let lane = Consumer::connect(ctx, "inproc://agg", filter, store).unwrap();
+        FederatedConsumer::from_parts(vec![Arc::new(lane)])
+    }
+
     #[test]
     fn filtering_happens_client_side() {
         let ctx = Context::new();
         let publisher = ctx.publisher();
         publisher.bind("inproc://agg").unwrap();
-        let consumer =
-            Consumer::connect(&ctx, "inproc://agg", EventFilter::subtree("/keep"), None).unwrap();
+        let consumer = consumer(&ctx, EventFilter::subtree("/keep"), None);
         publish(
             &publisher,
             &[
@@ -549,9 +674,8 @@ mod tests {
         let got = consumer.recv_batch(10, Duration::from_secs(2));
         assert_eq!(got.len(), 2);
         assert!(got.iter().all(|e| e.path.starts_with("/keep")));
-        let (accepted, dropped) = consumer.filter_stats();
-        assert_eq!((accepted, dropped), (2, 1));
-        assert_eq!(consumer.last_seen(), 3);
+        assert_eq!(consumer.recovery_stats().delivered, 2);
+        assert_eq!(consumer.vector_watermark().get(0), 3);
     }
 
     #[test]
@@ -559,7 +683,7 @@ mod tests {
         let ctx = Context::new();
         let publisher = ctx.publisher();
         publisher.bind("inproc://agg").unwrap();
-        let consumer = Consumer::connect(&ctx, "inproc://agg", EventFilter::all(), None).unwrap();
+        let consumer = consumer(&ctx, EventFilter::all(), None);
         let start = Instant::now();
         assert!(consumer.recv(Duration::from_millis(50)).is_none());
         assert!(start.elapsed() >= Duration::from_millis(50));
@@ -574,13 +698,7 @@ mod tests {
         store.append(&ev(EventKind::Create, "/keep/a", 0)).unwrap();
         store.append(&ev(EventKind::Create, "/drop/b", 0)).unwrap();
         store.append(&ev(EventKind::Create, "/keep/c", 0)).unwrap();
-        let consumer = Consumer::connect(
-            &ctx,
-            "inproc://agg",
-            EventFilter::subtree("/keep"),
-            Some(store.clone()),
-        )
-        .unwrap();
+        let consumer = consumer(&ctx, EventFilter::subtree("/keep"), Some(store.clone()));
         let replay = consumer.replay_since(0, 100).unwrap();
         assert_eq!(replay.len(), 2);
         consumer.ack(3).unwrap();
@@ -594,7 +712,7 @@ mod tests {
         let ctx = Context::new();
         let publisher = ctx.publisher();
         publisher.bind("inproc://agg").unwrap();
-        let consumer = Consumer::connect(&ctx, "inproc://agg", EventFilter::all(), None).unwrap();
+        let consumer = consumer(&ctx, EventFilter::all(), None);
         publish(
             &publisher,
             &[
@@ -629,13 +747,7 @@ mod tests {
         for p in ["/a", "/b", "/c", "/d"] {
             store.append(&ev(EventKind::Create, p, 0)).unwrap();
         }
-        let consumer = Consumer::connect(
-            &ctx,
-            "inproc://agg",
-            EventFilter::all(),
-            Some(store.clone()),
-        )
-        .unwrap();
+        let consumer = consumer(&ctx, EventFilter::all(), Some(store.clone()));
         // The live stream skips ids 2 and 3 (lost to a broken link).
         publish(&publisher, &[ev(EventKind::Create, "/a", 1)]);
         publish(&publisher, &[ev(EventKind::Create, "/d", 4)]);
@@ -656,13 +768,7 @@ mod tests {
         for p in ["/a", "/b", "/c"] {
             store.append(&ev(EventKind::Create, p, 0)).unwrap();
         }
-        let consumer = Consumer::connect(
-            &ctx,
-            "inproc://agg",
-            EventFilter::all(),
-            Some(store.clone()),
-        )
-        .unwrap();
+        let consumer = consumer(&ctx, EventFilter::all(), Some(store.clone()));
         // Only the first event arrives live; the tail has no later
         // event to reveal it as a gap.
         publish(&publisher, &[ev(EventKind::Create, "/a", 1)]);
@@ -670,7 +776,7 @@ mod tests {
         assert_eq!(consumer.catch_up(), 2);
         let ids: Vec<u64> = consumer.drain().iter().map(|e| e.id).collect();
         assert_eq!(ids, vec![2, 3]);
-        assert_eq!(consumer.last_seen(), 3);
+        assert_eq!(consumer.vector_watermark().get(0), 3);
     }
 
     #[test]
@@ -678,11 +784,228 @@ mod tests {
         let ctx = Context::new();
         let publisher = ctx.publisher();
         publisher.bind("inproc://agg").unwrap();
-        let consumer = Consumer::connect(&ctx, "inproc://agg", EventFilter::all(), None).unwrap();
+        let consumer = consumer(&ctx, EventFilter::all(), None);
         publish(&publisher, &[ev(EventKind::Create, "/x", 1)]);
         assert!(consumer.recv(Duration::from_secs(1)).is_some());
         consumer.set_filter(EventFilter::subtree("/nope"));
         publish(&publisher, &[ev(EventKind::Create, "/x", 2)]);
         assert!(consumer.recv(Duration::from_millis(100)).is_none());
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Unfiltered,
+        PushdownSocket,
+        PushdownRing,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        LostFrame,
+        Republish,
+        LostTail,
+        Resume,
+    }
+
+    enum Federation {
+        Unfiltered(FederatedConsumer),
+        Pushdown(FederatedFilteredConsumer),
+    }
+
+    impl Federation {
+        fn take(&mut self) -> Vec<StandardEvent> {
+            match self {
+                Federation::Unfiltered(f) => f.drain(),
+                Federation::Pushdown(f) => f.poll(),
+            }
+        }
+
+        fn catch_up(&mut self) -> Vec<StandardEvent> {
+            match self {
+                Federation::Unfiltered(f) => {
+                    let recovered = f.catch_up();
+                    let events = f.drain();
+                    // Every store is read to its end, and what was read
+                    // back is counted whether or not the filter kept it.
+                    let end = (BATCH * BATCHES) as u64;
+                    assert!(f.vector_watermark().cursors().iter().all(|&c| c == end));
+                    assert!(recovered >= events.len());
+                    events
+                }
+                Federation::Pushdown(f) => f.catch_up(),
+            }
+        }
+
+        fn stats(&self) -> ConsumerRecoveryStats {
+            let mut stats = match self {
+                Federation::Unfiltered(f) => f.recovery_stats(),
+                Federation::Pushdown(f) => f.stats(),
+            };
+            // An idle `drain` may count a timed-out wait; that is the
+            // clock's business, not recovery's.
+            stats.wait_timeouts = 0;
+            stats
+        }
+    }
+
+    const BATCH: usize = 3;
+    const BATCHES: usize = 4;
+
+    /// Shard `k` resumes past id `RESUMED + k`.
+    const RESUMED: u64 = 5;
+
+    /// Drive one consumer shape over K shards through one scripted
+    /// fault. Each shard's store holds 12 events, odd ids under
+    /// `/keep`; the shape's predicate keeps `/keep`, client-side or
+    /// pushed down. Frames are published in full before anything is
+    /// read, so nothing depends on timing. Returns what the federation
+    /// delivered, as `(shard, id)`, and its stats.
+    fn run(
+        shape: Shape,
+        shards: usize,
+        fault: Fault,
+    ) -> (Vec<(usize, u64)>, ConsumerRecoveryStats) {
+        let ctx = Context::new();
+        let spec = FilterSpec::subtree("/keep");
+        let resume =
+            VectorWatermark::from_cursors((0..shards as u64).map(|k| RESUMED + k).collect());
+        let mut publishers = Vec::new();
+        let mut stores: Vec<Arc<dyn EventStore>> = Vec::new();
+        let mut lanes = Vec::new();
+        for k in 0..shards {
+            let store: Arc<dyn EventStore> = Arc::new(MemStore::new());
+            let events: Vec<StandardEvent> = (1..=(BATCH * BATCHES) as u64)
+                .map(|i| {
+                    let dir = if i % 2 == 1 { "keep" } else { "drop" };
+                    let mut e = ev(EventKind::Create, &format!("/{dir}/s{k}-{i}"), 0);
+                    e.mdt_index = Some(k as u16);
+                    e.timestamp_ns = i * 1000 + k as u64;
+                    e
+                })
+                .collect();
+            store.append_batch(&events).unwrap();
+            let endpoint = format!("inproc://conformance-{k}");
+            let publisher = Arc::new(ctx.publisher());
+            publisher.bind(&endpoint).unwrap();
+            let lane = match shape {
+                Shape::Unfiltered => {
+                    let filter = EventFilter::subtree("/keep");
+                    Consumer::connect(&ctx, &endpoint, filter, Some(store.clone())).unwrap()
+                }
+                Shape::PushdownSocket => {
+                    Consumer::connect_class(&ctx, &endpoint, &spec, store.clone(), "conformance")
+                        .unwrap()
+                }
+                Shape::PushdownRing => {
+                    let cursor = publisher.subscribe_class(&spec.canonical());
+                    Consumer::attach_ring(cursor, &spec, store.clone(), "conformance")
+                }
+            };
+            if fault == Fault::Resume {
+                lane.resume_from(resume.get(k));
+            }
+            lanes.push(lane);
+            publishers.push(publisher);
+            stores.push(store);
+        }
+        let mut federation = match shape {
+            Shape::Unfiltered => Federation::Unfiltered(FederatedConsumer::from_parts(
+                lanes.into_iter().map(Arc::new).collect(),
+            )),
+            _ => Federation::Pushdown(FederatedFilteredConsumer::from_lanes(lanes, &spec)),
+        };
+        let script: &[usize] = match fault {
+            Fault::LostFrame => &[0, 2, 3],
+            Fault::Republish => &[0, 1, 0, 1, 2, 3],
+            Fault::LostTail => &[0, 1],
+            Fault::Resume => &[1, 2, 3],
+        };
+        for (publisher, store) in publishers.iter().zip(&stores) {
+            let stamped = store.get_since(0, BATCH * BATCHES).unwrap();
+            let mut engine = FanoutEngine::new(publisher.clone());
+            for &b in script {
+                let batch = &stamped[b * BATCH..(b + 1) * BATCH];
+                let (mut buf, mut offsets) = (BytesMut::new(), Vec::new());
+                encode_event_batch_offsets(batch, &mut buf, &mut offsets);
+                let frame = buf.freeze();
+                engine.fan_out(batch, &offsets, &frame);
+                let topic = bytes::Bytes::from_static(b"events");
+                publisher
+                    .send(Message::from_parts(vec![topic, frame]))
+                    .unwrap();
+            }
+        }
+        let mut delivered = federation.take();
+        delivered.extend(federation.catch_up());
+        let keys = delivered
+            .iter()
+            .map(|e| (e.mdt_index.unwrap() as usize, e.id))
+            .collect();
+        (keys, federation.stats())
+    }
+
+    /// Every consumer shape — unfiltered, pushdown over a socket,
+    /// pushdown over the ring — at K=1 and K=2, under each scripted
+    /// fault, delivers exactly the linear replay of its shards' stores
+    /// through its predicate, once each, and reports the recovery it
+    /// did in the one stats struct.
+    #[test]
+    fn every_consumer_shape_delivers_the_store_replay_exactly_once() {
+        for shape in [
+            Shape::Unfiltered,
+            Shape::PushdownSocket,
+            Shape::PushdownRing,
+        ] {
+            for shards in [1, 2] {
+                for fault in [
+                    Fault::LostFrame,
+                    Fault::Republish,
+                    Fault::LostTail,
+                    Fault::Resume,
+                ] {
+                    let case = format!("{shape:?} K={shards} {fault:?}");
+                    let (mut got, stats) = run(shape, shards, fault);
+                    // In id order within each shard, healed events
+                    // included, hence also at most once.
+                    for k in 0..shards {
+                        let ids: Vec<u64> = got.iter().filter(|e| e.0 == k).map(|e| e.1).collect();
+                        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{case}: {ids:?}");
+                    }
+                    got.sort_unstable();
+                    let want: Vec<(usize, u64)> = (0..shards)
+                        .flat_map(|k| {
+                            let since = if fault == Fault::Resume {
+                                RESUMED + k as u64
+                            } else {
+                                0
+                            };
+                            (since + 1..=(BATCH * BATCHES) as u64)
+                                .filter(|id| id % 2 == 1)
+                                .map(move |id| (k, id))
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{case}: deliveries");
+                    // Per shard: (frames, duplicates, gaps, healed).
+                    let (frames, duplicates, gaps, healed) = match fault {
+                        Fault::LostFrame => (3, 0, 1, 3),
+                        // Ids 1, 3 and 5 are kept and published twice.
+                        Fault::Republish => (6, 3, 0, 0),
+                        Fault::LostTail => (2, 0, 0, 6),
+                        // Kept id 5 is at or below every shard's cursor.
+                        Fault::Resume => (3, 1, 0, 0),
+                    };
+                    let k = shards as u64;
+                    let expected = ConsumerRecoveryStats {
+                        delivered: want.len() as u64,
+                        frames: frames * k,
+                        duplicates_dropped: duplicates * k,
+                        gaps_detected: gaps * k,
+                        gap_events_healed: healed * k,
+                        ..ConsumerRecoveryStats::default()
+                    };
+                    assert_eq!(stats, expected, "{case}: stats");
+                }
+            }
+        }
     }
 }

@@ -14,9 +14,15 @@
 //! * [`Aggregator`] — runs on the MGS. Subscribes to every collector,
 //!   and with two worker roles publishes aggregated events to consumers
 //!   while persisting them to the reliable event store.
-//! * [`Consumer`] — subscribes to the aggregator, filters client-side
-//!   (paper §IV Consumption), and exposes replay from the store for
-//!   fault recovery.
+//! * [`Consumer`] — one consumer lane: one aggregator shard's frames
+//!   (the full stream, or one pushdown class over a socket or the
+//!   in-process ring) and the one heal core that makes them
+//!   exactly-once against that shard's store. Applications hold a
+//!   federation of one lane per shard, K=1 included:
+//!   [`FederatedConsumer`] filters the full stream client-side (paper
+//!   §IV Consumption) and replays history from the store;
+//!   [`FederatedFilteredConsumer`] receives a server-side pushdown
+//!   class (see [`fanout`]).
 //! * [`ScalableMonitor`] — wires collectors + aggregator + a consumer
 //!   together over inproc or TCP endpoints; [`LustreDsi`] adapts the
 //!   whole pipeline to `fsmon-core`'s [`StorageInterface`] so Lustre is
@@ -57,8 +63,5 @@ pub use fanout::{ClassMeta, FanoutEngine, CLASS_TOPIC};
 pub use history::{HistoryClient, HistoryService, HistoryStats};
 pub use monitor::{LustreDsi, ScalableConfig, ScalableMonitor, Transport};
 pub use robinhood::{RobinhoodConfig, RobinhoodMonitor, RobinhoodStats};
-pub use sharded::{
-    FederatedConsumer, FederatedFilteredConsumer, FederatedFilteredSubscriber, ShardPlan,
-    ShardedAggregator,
-};
-pub use subscriber::{FilteredConsumer, FilteredStats, FilteredSubscriber};
+pub use sharded::{FederatedConsumer, ShardPlan, ShardedAggregator};
+pub use subscriber::{FederatedFilteredConsumer, FederatedFilteredSubscriber};

@@ -9,6 +9,7 @@
 use crate::collector::{Collector, CollectorStats};
 use crate::consumer::Consumer;
 use crate::sharded::{FederatedConsumer, ShardPlan, ShardedAggregator};
+use crate::subscriber::FederatedFilteredConsumer;
 use fsmon_core::dsi::{DsiError, RawEvent, StorageInterface};
 use fsmon_core::EventFilter;
 use fsmon_events::MonitorSource;
@@ -447,12 +448,9 @@ impl ScalableMonitor {
             )));
         }
 
-        // One consumer-facing endpoint per shard. The K=1 name stays
-        // the pre-sharding one so single-aggregator runs are
-        // byte-identical.
+        // One consumer-facing endpoint per shard.
         let consumer_endpoints: Vec<String> = (0..shards)
             .map(|k| match config.transport {
-                Transport::Inproc if shards == 1 => format!("inproc://fsmon-{run_id}-agg"),
                 Transport::Inproc => format!("inproc://fsmon-{run_id}-agg-s{k}"),
                 Transport::Tcp => "tcp://127.0.0.1:0".to_string(),
             })
@@ -477,7 +475,6 @@ impl ScalableMonitor {
         let mut history = Vec::with_capacity(shards);
         for (k, store) in stores.iter().enumerate() {
             let history_endpoint = match config.transport {
-                Transport::Inproc if shards == 1 => format!("inproc://fsmon-{run_id}-history"),
                 Transport::Inproc => format!("inproc://fsmon-{run_id}-history-s{k}"),
                 Transport::Tcp => "tcp://127.0.0.1:0".to_string(),
             };
@@ -723,8 +720,7 @@ impl ScalableMonitor {
     }
 
     /// The client-side consumer: one lane per aggregator shard behind
-    /// the classic API (an exact passthrough when
-    /// [`aggregator_shards`](ScalableConfig::aggregator_shards) is 1).
+    /// the classic API.
     pub fn consumer(&self) -> &Arc<FederatedConsumer> {
         &self.consumer
     }
@@ -787,8 +783,8 @@ impl ScalableMonitor {
         &self,
         spec: &fsmon_rules::FilterSpec,
         name: &str,
-    ) -> Result<crate::sharded::FederatedFilteredConsumer, fsmon_mq::MqError> {
-        crate::sharded::FederatedFilteredConsumer::connect(
+    ) -> Result<FederatedFilteredConsumer, fsmon_mq::MqError> {
+        FederatedFilteredConsumer::connect(
             &self.ctx,
             &self.aggregator.consumer_endpoints(),
             &self.aggregator.stores(),
@@ -797,15 +793,14 @@ impl ScalableMonitor {
         )
     }
 
-    /// Attach in-process filtered subscribers directly to every
-    /// shard's publisher (the cheapest consumer: one broadcast-ring
-    /// cursor per shard, no sockets). See
-    /// [`Aggregator::subscribe_filtered`](crate::Aggregator::subscribe_filtered).
+    /// Attach a filtered consumer whose lanes read every shard
+    /// publisher's broadcast ring in-process (the cheapest consumer:
+    /// one ring cursor per shard, no sockets).
     pub fn subscribe_filtered(
         &self,
         spec: &fsmon_rules::FilterSpec,
         name: &str,
-    ) -> crate::sharded::FederatedFilteredSubscriber {
+    ) -> FederatedFilteredConsumer {
         self.aggregator.subscribe_filtered(spec, name)
     }
 
@@ -1392,66 +1387,71 @@ mod tests {
     #[test]
     fn one_busy_shard_is_not_delivered_behind_a_silent_one() {
         // K = 2 over 2 MDTs: shard 1 owns MDT 1, shard 0 stays silent.
-        let fs = LustreFs::new(LustreConfig::small_dne(2));
-        let monitor = ScalableMonitor::start(
-            &fs,
-            ScalableConfig {
-                aggregator_shards: 2,
-                ..ScalableConfig::default()
-            },
-        )
-        .unwrap();
-        let client = fs.client();
-        let consumer = monitor.consumer();
-        // A directory on MDT 1; the mkdirs themselves are root's
-        // records, i.e. shard 0's, and are received before the test.
-        let mut made = 0;
-        let dir = loop {
-            let dir = format!("/pp{made}");
-            client.mkdir(&dir).unwrap();
-            made += 1;
-            if fs.mdt_of(&dir).unwrap() == 1 {
-                break dir;
+        // K = 1 waits on the same arrival signal with one lane.
+        for shards in [1, 2] {
+            let fs = LustreFs::new(LustreConfig::small_dne(2));
+            let monitor = ScalableMonitor::start(
+                &fs,
+                ScalableConfig {
+                    aggregator_shards: shards,
+                    ..ScalableConfig::default()
+                },
+            )
+            .unwrap();
+            let client = fs.client();
+            let consumer = monitor.consumer();
+            // A directory on MDT 1; the mkdirs themselves are root's
+            // records, i.e. shard 0's, and are received before the test.
+            let mut made = 0;
+            let dir = loop {
+                let dir = format!("/pp{made}");
+                client.mkdir(&dir).unwrap();
+                made += 1;
+                if fs.mdt_of(&dir).unwrap() == 1 {
+                    break dir;
+                }
+            };
+            for _ in 0..made {
+                consumer.recv(Duration::from_secs(5)).expect("a mkdir");
             }
-        };
-        for _ in 0..made {
-            consumer.recv(Duration::from_secs(5)).expect("a mkdir");
+            // Ping-pong: each create is issued only after the previous
+            // one was received, so every recv starts with all lanes
+            // empty and has to block for its event.
+            for i in 0..200 {
+                client.create(&format!("{dir}/f{i}")).unwrap();
+                let ev = consumer.recv(Duration::from_secs(5)).expect("delivered");
+                assert_eq!(ev.path, format!("{dir}/f{i}"));
+                assert_eq!(fsmon_core::shard_of(ev.mdt_index, shards), shards - 1);
+            }
+            // Every one of those waits was ended by the arrival itself.
+            assert_eq!(consumer.recovery_stats().wait_timeouts, 0, "K = {shards}");
+            monitor.stop();
         }
-        // Ping-pong: each create is issued only after the previous one
-        // was received, so every recv starts with all lanes empty and
-        // has to block for its event.
-        for i in 0..200 {
-            client.create(&format!("{dir}/f{i}")).unwrap();
-            let ev = consumer.recv(Duration::from_secs(5)).expect("delivered");
-            assert_eq!(ev.path, format!("{dir}/f{i}"));
-            assert_eq!(fsmon_core::shard_of(ev.mdt_index, 2), 1);
-        }
-        // Every one of those waits was ended by the arrival itself.
-        assert_eq!(consumer.recovery_stats().wait_timeouts, 0);
-        monitor.stop();
     }
 
     #[test]
     fn federated_drain_waits_once_for_all_lanes_together() {
-        let fs = LustreFs::new(LustreConfig::small_dne(4));
-        let monitor = ScalableMonitor::start(
-            &fs,
-            ScalableConfig {
-                aggregator_shards: 4,
-                ..ScalableConfig::default()
-            },
-        )
-        .unwrap();
-        let consumer = monitor.consumer();
-        for call in 1..=10u64 {
-            assert!(consumer.drain().is_empty());
-            assert_eq!(
-                consumer.recovery_stats().wait_timeouts,
-                call,
-                "one expired wait per drain() of an idle K = 4 tier"
-            );
+        for shards in [1, 4] {
+            let fs = LustreFs::new(LustreConfig::small_dne(4));
+            let monitor = ScalableMonitor::start(
+                &fs,
+                ScalableConfig {
+                    aggregator_shards: shards,
+                    ..ScalableConfig::default()
+                },
+            )
+            .unwrap();
+            let consumer = monitor.consumer();
+            for call in 1..=10u64 {
+                assert!(consumer.drain().is_empty());
+                assert_eq!(
+                    consumer.recovery_stats().wait_timeouts,
+                    call,
+                    "one expired wait per drain() of an idle K = {shards} tier"
+                );
+            }
+            monitor.stop();
         }
-        monitor.stop();
     }
 
     #[test]

@@ -11,28 +11,20 @@
 //! is a per-shard contract, and a shard crash or restart is invisible
 //! to the other shards.
 //!
-//! What clients lose is the single global cursor; the federation layer
-//! gives back the next best thing:
-//!
-//! * [`FederatedConsumer`] — one [`Consumer`] lane per shard behind
-//!   the classic consumer API, merging shard streams with a bounded-
-//!   reordering [`ShardMerger`] and tracking a [`VectorWatermark`]
-//!   (per-shard cursor) instead of one id. `catch_up` heals every lane
-//!   against its own shard store; resuming from a persisted vector
-//!   replays exactly the union of each shard's linear suffix.
-//! * [`FederatedFilteredSubscriber`] / [`FederatedFilteredConsumer`] —
-//!   server-side filter pushdown per shard: each shard's
-//!   [`FanoutEngine`](crate::fanout::FanoutEngine) runs over its own
-//!   dense id stream, so the watermark invariant (`first_id >
-//!   watermark + 1` ⇒ heal) stays per-shard-exact.
-//!
-//! With K=1 every wrapper degenerates to an exact passthrough — same
-//! ordering, same telemetry labels, same wire frames — so the sharded
-//! tier is strictly additive.
+//! What clients lose is the single global cursor. [`FederatedConsumer`]
+//! gives back the next best thing: one [`Consumer`] lane per shard
+//! behind the classic consumer API, merging shard streams with a
+//! bounded-reordering [`ShardMerger`] and tracking a
+//! [`VectorWatermark`] (per-shard cursor) instead of one id. Each lane
+//! heals against its own shard store, so resuming from a persisted
+//! vector replays exactly the union of each shard's linear suffix. The
+//! pushdown federation over the same lanes is
+//! [`FederatedFilteredConsumer`].
+//! K=1 is a one-lane federation, not a separate path.
 
 use crate::aggregator::Aggregator;
-use crate::consumer::{Consumer, ConsumerRecoveryStats};
-use crate::subscriber::{FilteredConsumer, FilteredStats, FilteredSubscriber};
+use crate::consumer::{merged, Consumer, ConsumerRecoveryStats};
+use crate::subscriber::FederatedFilteredConsumer;
 use fsmon_core::{shard_of, EventFilter, ShardMerger, VectorWatermark};
 use fsmon_events::{EventId, StandardEvent};
 use fsmon_faults::{Faults, Retry};
@@ -178,29 +170,24 @@ impl ShardedAggregator {
     }
 
     /// Register `spec`'s class with every shard's publisher and return
-    /// a federated in-process subscriber over the per-shard cursors.
+    /// a pushdown federation over the per-shard ring cursors.
     pub fn subscribe_filtered(
         &self,
         spec: &fsmon_rules::FilterSpec,
         name: &str,
-    ) -> FederatedFilteredSubscriber {
-        FederatedFilteredSubscriber {
-            lanes: self
-                .shards
-                .iter()
-                .map(|s| s.subscribe_filtered(spec, name))
-                .collect(),
-            merger: ShardMerger::new(),
-        }
+    ) -> FederatedFilteredConsumer {
+        let lanes = self
+            .shards
+            .iter()
+            .map(|s| s.subscribe_filtered(spec, name))
+            .collect();
+        FederatedFilteredConsumer::from_lanes(lanes, spec)
     }
 
     /// Per-filter-class fan-out counters, merged across shards by
     /// class key: counts sum, `rate` (a per-class budget every shard
     /// enforces independently) keeps the common value.
     pub fn class_stats(&self) -> Vec<ClassStats> {
-        if self.shards.len() == 1 {
-            return self.shards[0].class_stats();
-        }
         let mut merged: BTreeMap<String, ClassStats> = BTreeMap::new();
         for shard in &self.shards {
             for one in shard.class_stats() {
@@ -264,16 +251,16 @@ impl ShardedAggregator {
     }
 }
 
-/// One consumer lane per shard behind the classic [`Consumer`] API.
-/// See module docs for the ordering contract: per shard strict dense
-/// id order, across shards timestamp order within a merge window.
+/// One consumer lane per shard behind the classic consumer API, K=1
+/// included. See module docs for the ordering contract: per shard
+/// strict dense id order, across shards timestamp order within a merge
+/// window.
 pub struct FederatedConsumer {
     lanes: Vec<Arc<Consumer>>,
     merger: Mutex<ShardMerger>,
     pending: Mutex<VecDeque<StandardEvent>>,
-    /// Bumped by every lane's socket when a frame arrives (K > 1): the
-    /// one thing a federated `recv` sleeps on, whichever shard speaks
-    /// next. A single lane blocks on its own socket instead.
+    /// Bumped by every lane's socket when a frame arrives: the one
+    /// thing a `recv` sleeps on, whichever shard speaks next.
     arrivals: Arc<ArrivalSignal>,
 }
 
@@ -286,17 +273,15 @@ impl FederatedConsumer {
     ///
     /// # Panics
     ///
-    /// If K > 1 and a lane already belongs to another federation: two
+    /// If a lane already belongs to another federation: two
     /// federations draining one lane would split its stream.
     pub fn from_parts(lanes: Vec<Arc<Consumer>>) -> FederatedConsumer {
         let arrivals = Arc::new(ArrivalSignal::new());
-        if lanes.len() > 1 {
-            for lane in &lanes {
-                assert!(
-                    lane.notify_arrivals(arrivals.clone()),
-                    "a consumer lane belongs to one federation"
-                );
-            }
+        for lane in &lanes {
+            assert!(
+                lane.notify_arrivals(arrivals.clone()),
+                "a consumer lane belongs to one federation"
+            );
         }
         FederatedConsumer {
             lanes,
@@ -306,19 +291,9 @@ impl FederatedConsumer {
         }
     }
 
-    /// Number of shard lanes.
-    pub fn shards(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// One shard's lane.
-    pub fn lane(&self, shard: usize) -> &Arc<Consumer> {
-        &self.lanes[shard]
-    }
-
-    /// The vector watermark: each shard lane's highest-seen id.
+    /// The vector watermark: each shard lane's highest integrated id.
     pub fn vector_watermark(&self) -> VectorWatermark {
-        VectorWatermark::from_cursors(self.lanes.iter().map(|l| l.last_seen()).collect())
+        VectorWatermark::from_cursors(self.lanes.iter().map(|l| l.watermark()).collect())
     }
 
     /// Treat `watermark` as already seen: lane `k` resumes past
@@ -327,49 +302,46 @@ impl FederatedConsumer {
     /// position (they replay from wherever they are — the safe
     /// direction).
     pub fn resume_from_vector(&self, watermark: &VectorWatermark) {
-        for (shard, lane) in self.lanes.iter().enumerate() {
-            if shard < watermark.shards() {
-                lane.resume_from(watermark.get(shard));
-            }
+        for (shard, lane) in self.lanes.iter().enumerate().take(watermark.shards()) {
+            lane.resume_from(watermark.get(shard));
         }
     }
 
-    /// Fold whatever has already arrived on any lane into the merged
-    /// pending queue (one bounded-reordering window). Never blocks.
-    fn sweep(&self) {
-        let mut windows: Vec<Vec<StandardEvent>> = self.lanes.iter().map(|l| l.poll()).collect();
-        let merged = self.merger.lock().merge(&mut windows);
+    /// Run `step` on every lane and queue the merged result.
+    fn merge_into_pending(&self, step: impl FnMut(&Consumer, &mut Vec<StandardEvent>)) {
+        let merged = merged(
+            self.lanes.iter().map(|l| &**l),
+            &mut self.merger.lock(),
+            step,
+        );
         if !merged.is_empty() {
             self.pending.lock().extend(merged);
         }
     }
 
-    /// [`sweep`](Self::sweep), and if that leaves nothing pending,
-    /// block once — on every lane at the same time — until a frame
-    /// arrives or `budget` runs out, then sweep again. An event on a
-    /// busy shard never waits behind a silent one.
+    /// [`Consumer::poll`] every lane into the pending queue, and if
+    /// that leaves nothing pending, block once — on every lane at the
+    /// same time — until a frame arrives or `budget` runs out, then
+    /// poll again. An event on a busy shard never waits behind a
+    /// silent one.
     fn pump(&self, budget: Duration) {
-        // Read before the sweep: a frame that lands behind the sweep's
+        // Read before polling: a frame that lands behind the poll's
         // back has moved the count on, and the wait returns at once.
         let seen = self.arrivals.epoch();
-        self.sweep();
+        self.merge_into_pending(Consumer::poll);
         if budget.is_zero() || !self.pending.lock().is_empty() {
             return;
         }
         if self.arrivals.wait_past(seen, budget) {
-            self.sweep();
+            self.merge_into_pending(Consumer::poll);
         } else {
-            // Charged to lane 0 so it shows under that lane's
-            // `consumer=<name>` label like a single lane's own.
+            // Charged to lane 0, under its `consumer=<name>` label.
             self.lanes[0].note_wait_timeout();
         }
     }
 
     /// Receive one filtered event, waiting up to `timeout`.
     pub fn recv(&self, timeout: Duration) -> Option<StandardEvent> {
-        if self.lanes.len() == 1 {
-            return self.lanes[0].recv(timeout);
-        }
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(ev) = self.pending.lock().pop_front() {
@@ -386,31 +358,21 @@ impl FederatedConsumer {
     /// Receive up to `max` events, waiting up to `timeout` for the
     /// first.
     pub fn recv_batch(&self, max: usize, timeout: Duration) -> Vec<StandardEvent> {
-        if self.lanes.len() == 1 {
-            return self.lanes[0].recv_batch(max, timeout);
-        }
         let mut out = Vec::new();
         match self.recv(timeout) {
             Some(first) => out.push(first),
             None => return out,
         }
-        self.sweep();
+        self.merge_into_pending(Consumer::poll);
         let mut pending = self.pending.lock();
-        while out.len() < max {
-            match pending.pop_front() {
-                Some(ev) => out.push(ev),
-                None => break,
-            }
-        }
+        let more = pending.len().min(max.saturating_sub(1));
+        out.extend(pending.drain(..more));
         out
     }
 
     /// Drain everything currently buffered across every lane (no
     /// waiting beyond one 1 ms wait on all of them together).
     pub fn drain(&self) -> Vec<StandardEvent> {
-        if self.lanes.len() == 1 {
-            return self.lanes[0].drain();
-        }
         self.pump(Duration::from_millis(1));
         self.pending.lock().drain(..).collect()
     }
@@ -421,7 +383,9 @@ impl FederatedConsumer {
     /// [`recv`](FederatedConsumer::recv)/[`drain`](FederatedConsumer::drain)
     /// path, merged like live events.
     pub fn catch_up(&self) -> usize {
-        self.lanes.iter().map(|l| l.catch_up()).sum()
+        let mut recovered = 0;
+        self.merge_into_pending(|lane, out| recovered += lane.catch_up(out));
+        recovered
     }
 
     /// Replay historic events with per-shard id greater than `since`
@@ -459,191 +423,27 @@ impl FederatedConsumer {
     /// (uniform ack; see
     /// [`ack_vector`](FederatedConsumer::ack_vector)).
     pub fn ack(&self, up_to: EventId) -> Result<(), fsmon_store::StoreError> {
-        for lane in &self.lanes {
-            lane.ack(up_to)?;
-        }
-        Ok(())
+        self.lanes.iter().try_for_each(|lane| lane.ack(up_to))
     }
 
     /// Flag each shard's events up to its watermark cursor as
     /// reported, so the janitor's next purge cycle can drop them.
     pub fn ack_vector(&self, watermark: &VectorWatermark) -> Result<(), fsmon_store::StoreError> {
-        for (shard, lane) in self.lanes.iter().enumerate() {
-            lane.ack(watermark.get(shard))?;
-        }
-        Ok(())
+        let mut lanes = self.lanes.iter().enumerate();
+        lanes.try_for_each(|(shard, lane)| lane.ack(watermark.get(shard)))
     }
 
-    /// Replace the subscription filter on every lane.
+    /// Replace the client-side filter on every lane (the paper's
+    /// recursive monitoring is "just modifying the filtering rule",
+    /// §V-C1).
     pub fn set_filter(&self, filter: EventFilter) {
         for lane in &self.lanes {
             lane.set_filter(filter.clone());
         }
     }
 
-    /// `(accepted, filtered_out)` summed across lanes.
-    pub fn filter_stats(&self) -> (u64, u64) {
-        let mut accepted = 0;
-        let mut filtered = 0;
-        for lane in &self.lanes {
-            let (a, f) = lane.filter_stats();
-            accepted += a;
-            filtered += f;
-        }
-        (accepted, filtered)
-    }
-
-    /// Duplicate/gap/reconnect counters summed across lanes.
+    /// Delivery and recovery counters summed across lanes.
     pub fn recovery_stats(&self) -> ConsumerRecoveryStats {
-        let mut total = ConsumerRecoveryStats::default();
-        for lane in &self.lanes {
-            let one = lane.recovery_stats();
-            total.duplicates_dropped += one.duplicates_dropped;
-            total.gaps_detected += one.gaps_detected;
-            total.gap_events_healed += one.gap_events_healed;
-            total.reconnects += one.reconnects;
-            total.wait_timeouts += one.wait_timeouts;
-        }
-        total
+        self.lanes.iter().map(|l| l.stats()).sum()
     }
-
-    /// Highest id seen on any shard — a scalar summary for display;
-    /// the real resume point is
-    /// [`vector_watermark`](FederatedConsumer::vector_watermark).
-    pub fn last_seen(&self) -> EventId {
-        self.lanes.iter().map(|l| l.last_seen()).max().unwrap_or(0)
-    }
-}
-
-/// Per-shard in-process pushdown subscribers behind one merged stream.
-pub struct FederatedFilteredSubscriber {
-    lanes: Vec<FilteredSubscriber>,
-    merger: ShardMerger,
-}
-
-impl FederatedFilteredSubscriber {
-    /// The canonical filter-class key (identical on every shard).
-    pub fn class_key(&self) -> &str {
-        self.lanes[0].class_key()
-    }
-
-    /// Drain every shard's ring, merged (never blocks).
-    pub fn poll(&mut self) -> Vec<StandardEvent> {
-        let mut windows: Vec<Vec<StandardEvent>> =
-            self.lanes.iter_mut().map(|l| l.poll()).collect();
-        self.merger.merge(&mut windows)
-    }
-
-    /// Poll until `window` elapses or at least one event arrives.
-    pub fn recv_for(&mut self, window: Duration) -> Vec<StandardEvent> {
-        let deadline = Instant::now() + window;
-        loop {
-            let out = self.poll();
-            if !out.is_empty() || Instant::now() >= deadline {
-                return out;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Heal every shard lane against its own store, merged.
-    pub fn catch_up(&mut self) -> Vec<StandardEvent> {
-        let mut windows: Vec<Vec<StandardEvent>> =
-            self.lanes.iter_mut().map(|l| l.catch_up()).collect();
-        self.merger.merge(&mut windows)
-    }
-
-    /// Subscriber counters summed across shards.
-    pub fn stats(&self) -> FilteredStats {
-        sum_filtered(self.lanes.iter().map(|l| l.stats()))
-    }
-}
-
-/// Per-shard socket-based pushdown subscribers behind one merged
-/// stream (what `fsmon watch --filter` and the chaos harness use when
-/// the tier is sharded).
-pub struct FederatedFilteredConsumer {
-    lanes: Vec<FilteredConsumer>,
-    merger: ShardMerger,
-}
-
-impl FederatedFilteredConsumer {
-    /// Connect one pushdown consumer per shard endpoint; lane `k`
-    /// heals from `stores[k]`.
-    pub fn connect(
-        ctx: &Context,
-        endpoints: &[String],
-        stores: &[Arc<dyn EventStore>],
-        spec: &fsmon_rules::FilterSpec,
-        name: &str,
-    ) -> Result<FederatedFilteredConsumer, fsmon_mq::MqError> {
-        let mut lanes = Vec::with_capacity(endpoints.len());
-        for (endpoint, store) in endpoints.iter().zip(stores) {
-            lanes.push(FilteredConsumer::connect(
-                ctx,
-                endpoint,
-                spec,
-                store.clone(),
-                name,
-            )?);
-        }
-        Ok(FederatedFilteredConsumer {
-            lanes,
-            merger: ShardMerger::new(),
-        })
-    }
-
-    /// The canonical filter-class key (identical on every shard).
-    pub fn class_key(&self) -> &str {
-        self.lanes[0].class_key()
-    }
-
-    /// Drain whatever is queued on every shard lane, merged.
-    pub fn poll(&mut self) -> Vec<StandardEvent> {
-        let mut windows: Vec<Vec<StandardEvent>> =
-            self.lanes.iter_mut().map(|l| l.poll()).collect();
-        self.merger.merge(&mut windows)
-    }
-
-    /// Receive from every shard lane until `window` elapses, merged.
-    pub fn recv_for(&mut self, window: Duration) -> Vec<StandardEvent> {
-        if self.lanes.len() == 1 {
-            return self.lanes[0].recv_for(window);
-        }
-        let deadline = Instant::now() + window;
-        loop {
-            let merged = self.poll();
-            if !merged.is_empty() {
-                return merged;
-            }
-            if Instant::now() >= deadline {
-                return Vec::new();
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Heal every shard lane against its own store, merged.
-    pub fn catch_up(&mut self) -> Vec<StandardEvent> {
-        let mut windows: Vec<Vec<StandardEvent>> =
-            self.lanes.iter_mut().map(|l| l.catch_up()).collect();
-        self.merger.merge(&mut windows)
-    }
-
-    /// Subscriber counters summed across shards.
-    pub fn stats(&self) -> FilteredStats {
-        sum_filtered(self.lanes.iter().map(|l| l.stats()))
-    }
-}
-
-fn sum_filtered(stats: impl Iterator<Item = FilteredStats>) -> FilteredStats {
-    let mut total = FilteredStats::default();
-    for one in stats {
-        total.delivered += one.delivered;
-        total.frames += one.frames;
-        total.frames_lost += one.frames_lost;
-        total.gaps_detected += one.gaps_detected;
-        total.healed += one.healed;
-    }
-    total
 }

@@ -1,322 +1,96 @@
-//! Filtered subscribers: the consumer side of server-side filter
+//! The pushdown federation: the consumer side of server-side filter
 //! pushdown.
 //!
-//! A filtered subscriber registers one [`FilterSpec`] and from then on
-//! receives only its class's subset frames (see [`crate::fanout`]) —
-//! the aggregator never sends it an event outside its predicate, and
-//! matching cost is shared with every other subscriber of the same
-//! class. Two flavours:
+//! A [`FederatedFilteredConsumer`] registers one [`FilterSpec`] with
+//! every aggregator shard and from then on receives only its class's
+//! subset frames (see [`crate::fanout`]): the aggregator never sends it
+//! an event outside its predicate, and matching cost is shared with
+//! every other subscriber of the same class. Its lanes are
+//! [`Consumer`] lanes of one of two sources:
 //!
-//! * [`FilteredSubscriber`] — an in-process broadcast-ring cursor,
-//!   attached directly to the aggregator's publisher. The cheapest
-//!   possible consumer (no channel, no socket): thousands of them cost
-//!   the publisher one ring write per class.
-//! * [`FilteredConsumer`] — a [`SubSocket`]-based subscriber that works
-//!   over both `inproc://` and `tcp://` endpoints; what `fsmon watch
-//!   --filter` and the chaos harness use.
+//! * a socket ([`connect`](FederatedFilteredConsumer::connect)), over
+//!   `inproc://` or `tcp://` — what `fsmon watch --filter` and the
+//!   chaos harness use;
+//! * the publisher's broadcast ring, in-process
+//!   ([`ScalableMonitor::subscribe_filtered`](crate::ScalableMonitor::subscribe_filtered))
+//!   — the cheapest consumer there is: thousands of them cost the
+//!   publisher one ring write per class.
 //!
-//! Both heal through the same invariant: every class frame carries the
-//! full batch's id range, and an empty subset still ships (watermark
-//! frame), so `first_id > watermark + 1` on any received frame means
-//! frames were lost — whether to a stalled per-class queue, a ring
-//! overrun, or an aggregator crash between store and publish. The gap
-//! ids are recorded and healed from the reliable store through the
-//! subscriber's own compiled filter, and duplicates (restart
-//! re-publications) are dropped by watermark, so each subscriber sees
-//! its subset exactly once, in order, without ever being
-//! force-disconnected.
+//! Every class frame carries its batch's full id range, and an empty
+//! subset still ships, so the lane's heal core sees every loss as a
+//! gap and heals it from the store through the class's own predicate;
+//! re-publications are dropped. Each subscriber sees its subset exactly
+//! once without ever being force-disconnected.
 
-use crate::fanout::{ClassMeta, CLASS_TOPIC};
-use fsmon_events::wire::decode_event_batch;
+use crate::consumer::{merged, Consumer, ConsumerRecoveryStats};
+use fsmon_core::ShardMerger;
 use fsmon_events::StandardEvent;
-use fsmon_faults::Retry;
-use fsmon_mq::{ClassCursor, Context, Message, RingPoll, SubSocket};
-use fsmon_rules::{CompiledFilter, FilterSpec};
+use fsmon_mq::{ArrivalSignal, Context};
+use fsmon_rules::FilterSpec;
 use fsmon_store::EventStore;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Counters for one filtered subscriber.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FilteredStats {
-    /// Events delivered (live + healed), post-filter.
-    pub delivered: u64,
-    /// Class frames received.
-    pub frames: u64,
-    /// Class frames lost (sequence gaps; stalled queue or overrun).
-    pub frames_lost: u64,
-    /// Id-range gaps detected via the watermark invariant.
-    pub gaps_detected: u64,
-    /// Events recovered from the store through the filter.
-    pub healed: u64,
-}
+/// How often [`recv_for`](FederatedFilteredConsumer::recv_for) looks at
+/// ring lanes again: a ring has no arrival signal to wake it.
+const RING_POLL: Duration = Duration::from_millis(1);
 
-/// The shared heal/dedup core: integrates class frames against the
-/// watermark invariant and recovers gap ids from the reliable store.
-struct FilterLane {
-    filter: CompiledFilter,
-    store: Arc<dyn EventStore>,
-    retry: Retry,
-    /// Highest batch `last_id` integrated (delivered or gap-recorded).
-    watermark: u64,
-    /// Next expected per-class frame sequence.
-    next_seq: Option<u64>,
-    /// Ids known missing: published in a batch range this subscriber
-    /// never saw, not yet produced by the store.
-    missing: BTreeSet<u64>,
-    stats: FilteredStats,
-    t_delivered: Arc<fsmon_telemetry::Counter>,
-    t_frames_lost: Arc<fsmon_telemetry::Counter>,
-    t_gaps: Arc<fsmon_telemetry::Counter>,
-    t_healed: Arc<fsmon_telemetry::Counter>,
-}
-
-impl FilterLane {
-    fn new(spec: &FilterSpec, store: Arc<dyn EventStore>, name: &str) -> FilterLane {
-        let scope = fsmon_telemetry::root()
-            .scope("subscriber")
-            .with_label("consumer", name);
-        FilterLane {
-            filter: spec.compile(),
-            store,
-            retry: Retry::fast(),
-            watermark: 0,
-            next_seq: None,
-            missing: BTreeSet::new(),
-            stats: FilteredStats::default(),
-            t_delivered: scope.counter("filtered_delivered_total"),
-            t_frames_lost: scope.counter("filtered_frames_lost_total"),
-            t_gaps: scope.counter("filtered_gaps_detected_total"),
-            t_healed: scope.counter("filtered_healed_total"),
-        }
-    }
-
-    /// Integrate one class frame: detect losses, dedup re-publications,
-    /// deliver the subset. `class_seq` is `None` when the transport
-    /// already guarantees gap-free delivery of what it delivers at all
-    /// (a ring cursor reports overruns explicitly instead).
-    fn ingest_frame(
-        &mut self,
-        meta: ClassMeta,
-        subset: Vec<StandardEvent>,
-        out: &mut Vec<StandardEvent>,
-    ) {
-        self.stats.frames += 1;
-        if let Some(expected) = self.next_seq {
-            if meta.class_seq > expected {
-                let lost = meta.class_seq - expected;
-                self.stats.frames_lost += lost;
-                self.t_frames_lost.add(lost);
-            }
-        }
-        self.next_seq = Some(meta.class_seq + 1);
-        if meta.first_id > self.watermark + 1 {
-            // Batches in (watermark, first_id) were published without
-            // this subscriber seeing even their watermark frames.
-            self.stats.gaps_detected += 1;
-            self.t_gaps.inc();
-            self.missing.extend(self.watermark + 1..meta.first_id);
-            self.heal_missing(out);
-        }
-        for ev in subset {
-            if ev.id > self.watermark {
-                self.deliver(ev, out);
-            } else if self.missing.remove(&ev.id) {
-                // A heal raced a late frame for the same ids.
-                self.deliver(ev, out);
-            }
-            // Otherwise: a restart re-publication of an id already
-            // integrated — exactly-once means dropping it.
-        }
-        self.watermark = self.watermark.max(meta.last_id);
-    }
-
-    fn deliver(&mut self, ev: StandardEvent, out: &mut Vec<StandardEvent>) {
-        self.stats.delivered += 1;
-        self.t_delivered.inc();
-        out.push(ev);
-    }
-
-    /// Fetch known-missing ids from the reliable store, retrying
-    /// briefly (the store lane may run behind the publish lane), and
-    /// deliver the ones that pass this subscriber's filter. Ids the
-    /// store cannot produce stay recorded for the next attempt.
-    fn heal_missing(&mut self, out: &mut Vec<StandardEvent>) {
-        let mut backoff = self.retry.backoff();
-        while let (Some(&lo), Some(&hi)) = (self.missing.first(), self.missing.last()) {
-            let want = self.missing.len();
-            let span = (hi - lo + 1) as usize;
-            let fetched = self.store.get_since(lo - 1, span).unwrap_or_default();
-            for ev in fetched {
-                if ev.id > hi {
-                    break;
-                }
-                if self.missing.remove(&ev.id) {
-                    self.stats.healed += 1;
-                    self.t_healed.inc();
-                    if self.filter.matches_event(&ev) {
-                        self.deliver(ev, out);
-                    }
-                }
-            }
-            if self.missing.len() < want {
-                backoff = self.retry.backoff();
-                continue;
-            }
-            match backoff.next() {
-                Some(sleep) => std::thread::sleep(sleep),
-                None => break,
-            }
-        }
-    }
-
-    /// Recover everything this subscriber can still be missing: recorded
-    /// gaps, then any store tail beyond the watermark (a lost tail has
-    /// no later frame to reveal it as a gap).
-    fn catch_up(&mut self, out: &mut Vec<StandardEvent>) {
-        self.heal_missing(out);
-        loop {
-            let tail = match self.store.get_since(self.watermark, 4096) {
-                Ok(tail) if tail.is_empty() => break,
-                Ok(tail) => tail,
-                Err(_) => break,
-            };
-            for ev in tail {
-                if ev.id <= self.watermark {
-                    continue;
-                }
-                self.watermark = ev.id;
-                self.stats.healed += 1;
-                self.t_healed.inc();
-                if self.filter.matches_event(&ev) {
-                    self.deliver(ev, out);
-                }
-            }
-        }
-    }
-}
-
-/// Decode a class frame (`[b"evsub", meta, payload]`).
-fn decode_class_frame(msg: &Message) -> Option<(ClassMeta, Vec<StandardEvent>)> {
-    if msg.topic() != CLASS_TOPIC {
-        return None;
-    }
-    let meta = ClassMeta::decode(msg.part(1)?)?;
-    let subset = decode_event_batch(&msg.part_bytes(2)?).ok()?;
-    Some((meta, subset))
-}
-
-/// An in-process filtered subscriber: a broadcast-ring cursor plus the
-/// heal core. See module docs.
-pub struct FilteredSubscriber {
-    cursor: ClassCursor,
-    lane: FilterLane,
-}
-
-impl FilteredSubscriber {
-    pub(crate) fn attach(
-        cursor: ClassCursor,
-        spec: &FilterSpec,
-        store: Arc<dyn EventStore>,
-        name: &str,
-    ) -> FilteredSubscriber {
-        FilteredSubscriber {
-            cursor,
-            lane: FilterLane::new(spec, store, name),
-        }
-    }
-
-    /// The canonical filter-class key this subscriber rides on.
-    pub fn class_key(&self) -> &str {
-        self.cursor.class_key()
-    }
-
-    /// Drain every frame currently resident in the ring, returning the
-    /// delivered subset events (never blocks).
-    pub fn poll(&mut self) -> Vec<StandardEvent> {
-        let mut out = Vec::new();
-        loop {
-            match self.cursor.poll() {
-                RingPoll::Empty => break,
-                RingPoll::Overrun { missed } => {
-                    // The next frame's `first_id` bounds the heal; just
-                    // account the loss here.
-                    self.lane.stats.frames_lost += missed;
-                    self.lane.t_frames_lost.add(missed);
-                    self.lane.next_seq = Some(self.cursor.position());
-                }
-                RingPoll::Frame(msg) => {
-                    if let Some((meta, subset)) = decode_class_frame(&msg) {
-                        self.lane.ingest_frame(meta, subset, &mut out);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Poll until `deadline` elapses or at least one event arrives.
-    pub fn recv_for(&mut self, window: Duration) -> Vec<StandardEvent> {
-        let deadline = Instant::now() + window;
-        loop {
-            let out = self.poll();
-            if !out.is_empty() || Instant::now() >= deadline {
-                return out;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Heal recorded gaps and pull any store tail beyond the watermark.
-    pub fn catch_up(&mut self) -> Vec<StandardEvent> {
-        let mut out = Vec::new();
-        self.lane.catch_up(&mut out);
-        out
-    }
-
-    /// Subscriber-side counters.
-    pub fn stats(&self) -> FilteredStats {
-        self.lane.stats
-    }
-}
-
-/// A socket-based filtered subscriber (inproc or TCP). The filter spec
-/// travels to the publisher at connect time (`CTRL_FILTER` pushdown),
-/// so only this class's subset frames cross the wire. See module docs.
-pub struct FilteredConsumer {
-    sub: SubSocket,
-    lane: FilterLane,
+/// One pushdown lane per aggregator shard behind one merged stream
+/// (K=1 included). See module docs.
+pub struct FederatedFilteredConsumer {
+    lanes: Vec<Consumer>,
+    merger: ShardMerger,
+    arrivals: Arc<ArrivalSignal>,
+    /// Longest single wait in `recv_for`: unbounded for socket lanes,
+    /// which bump `arrivals`, [`RING_POLL`] for ring lanes.
+    wait_cap: Duration,
     class_key: String,
 }
 
-impl FilteredConsumer {
-    /// Connect to the aggregator's consumer endpoint and push `spec`
-    /// down to it. `name` labels this subscriber's telemetry.
+/// The in-process (ring) flavour's former name; the same type.
+pub type FederatedFilteredSubscriber = FederatedFilteredConsumer;
+
+impl FederatedFilteredConsumer {
+    /// Connect one pushdown lane per shard endpoint, pushing `spec`
+    /// down to each; lane `k` heals from `stores[k]`. `name` labels the
+    /// lanes' telemetry.
     ///
     /// On either transport the class is registered with the publisher
     /// when this returns (over TCP the `CTRL_FILTER` control frame is
     /// acknowledged), so batches sequenced from then on produce class
     /// frames for this subscriber. What was sequenced earlier is not
-    /// lost: the watermark starts at 0, so
-    /// [`catch_up`](FilteredConsumer::catch_up) recovers the entire
-    /// filtered prefix from the reliable store.
+    /// lost: a pushdown lane starts at id 0, so
+    /// [`catch_up`](FederatedFilteredConsumer::catch_up) recovers the
+    /// entire filtered prefix from the store.
     pub fn connect(
         ctx: &Context,
-        endpoint: &str,
+        endpoints: &[String],
+        stores: &[Arc<dyn EventStore>],
         spec: &FilterSpec,
-        store: Arc<dyn EventStore>,
         name: &str,
-    ) -> Result<FilteredConsumer, fsmon_mq::MqError> {
-        let sub = ctx.subscriber();
-        let class_key = spec.canonical();
-        sub.subscribe_filter(&class_key);
-        sub.connect(endpoint)?;
-        Ok(FilteredConsumer {
-            sub,
-            lane: FilterLane::new(spec, store, name),
-            class_key,
-        })
+    ) -> Result<FederatedFilteredConsumer, fsmon_mq::MqError> {
+        let lanes = endpoints
+            .iter()
+            .zip(stores)
+            .map(|(endpoint, store)| {
+                Consumer::connect_class(ctx, endpoint, spec, store.clone(), name)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self::from_lanes(lanes, spec))
+    }
+
+    /// Federate pushdown lanes of `spec`'s class, all sockets or all
+    /// rings.
+    pub(crate) fn from_lanes(lanes: Vec<Consumer>, spec: &FilterSpec) -> FederatedFilteredConsumer {
+        let arrivals = Arc::new(ArrivalSignal::new());
+        let signalled = lanes.iter().all(|l| l.notify_arrivals(arrivals.clone()));
+        FederatedFilteredConsumer {
+            lanes,
+            merger: ShardMerger::new(),
+            arrivals,
+            wait_cap: if signalled { Duration::MAX } else { RING_POLL },
+            class_key: spec.canonical(),
+        }
     }
 
     /// The canonical filter-class key this subscriber rides on.
@@ -324,57 +98,47 @@ impl FilteredConsumer {
         &self.class_key
     }
 
-    /// Receive and integrate class frames until `window` elapses,
-    /// returning every subset event delivered in that time.
+    /// Integrate whatever has already arrived on every lane, merged.
+    /// Never blocks.
+    pub fn poll(&mut self) -> Vec<StandardEvent> {
+        merged(self.lanes.iter(), &mut self.merger, Consumer::poll)
+    }
+
+    /// Wait until at least one subset event arrives or `window`
+    /// elapses, and return what arrived.
     pub fn recv_for(&mut self, window: Duration) -> Vec<StandardEvent> {
         let deadline = Instant::now() + window;
-        let mut out = Vec::new();
         loop {
+            let seen = self.arrivals.epoch();
+            let out = self.poll();
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
+            if !out.is_empty() || left.is_zero() {
+                return out;
             }
-            match self.sub.recv_timeout(left.min(Duration::from_millis(20))) {
-                Ok(msg) => {
-                    if let Some((meta, subset)) = decode_class_frame(&msg) {
-                        self.lane.ingest_frame(meta, subset, &mut out);
-                    }
-                }
-                Err(fsmon_mq::MqError::Timeout) => continue,
-                Err(_) => break,
-            }
+            self.arrivals.wait_past(seen, left.min(self.wait_cap));
         }
-        out
     }
 
-    /// Drain whatever is queued right now without waiting.
-    pub fn poll(&mut self) -> Vec<StandardEvent> {
-        let mut out = Vec::new();
-        while let Ok(msg) = self.sub.recv_timeout(Duration::ZERO) {
-            if let Some((meta, subset)) = decode_class_frame(&msg) {
-                self.lane.ingest_frame(meta, subset, &mut out);
-            }
-        }
-        out
-    }
-
-    /// Heal recorded gaps and pull any store tail beyond the watermark.
+    /// Heal every lane's recorded gaps and pull each store's tail past
+    /// the lane's watermark, merged.
     pub fn catch_up(&mut self) -> Vec<StandardEvent> {
-        let mut out = Vec::new();
-        self.lane.catch_up(&mut out);
-        out
+        merged(self.lanes.iter(), &mut self.merger, |lane, out| {
+            lane.catch_up(out);
+        })
     }
 
-    /// Subscriber-side counters.
-    pub fn stats(&self) -> FilteredStats {
-        self.lane.stats
+    /// Delivery and recovery counters summed across lanes.
+    pub fn stats(&self) -> ConsumerRecoveryStats {
+        self.lanes.iter().map(Consumer::stats).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fanout::{ClassMeta, CLASS_TOPIC};
     use fsmon_events::EventKind;
+    use fsmon_mq::Message;
     use fsmon_store::MemStore;
 
     fn ev(id: u64, path: &str) -> StandardEvent {
@@ -383,29 +147,64 @@ mod tests {
         ev
     }
 
-    fn lane(store: &Arc<MemStore>) -> FilterLane {
-        let spec = FilterSpec::subtree("/keep");
-        FilterLane::new(&spec, store.clone() as Arc<dyn EventStore>, "test")
+    /// A pushdown lane of class `/keep` over a publisher's ring, fed
+    /// frames by hand.
+    struct Harness {
+        publisher: fsmon_mq::PubSocket,
+        lane: Consumer,
     }
 
-    fn meta(class_seq: u64, first_id: u64, last_id: u64) -> ClassMeta {
-        ClassMeta {
-            class_seq,
-            first_id,
-            last_id,
+    fn lane(store: &Arc<MemStore>) -> Harness {
+        let ctx = Context::new();
+        let publisher = ctx.publisher();
+        publisher.bind("inproc://subscriber-test").unwrap();
+        let spec = FilterSpec::subtree("/keep");
+        let cursor = publisher.subscribe_class(&spec.canonical());
+        let lane =
+            Consumer::attach_ring(cursor, &spec, store.clone() as Arc<dyn EventStore>, "test");
+        Harness { publisher, lane }
+    }
+
+    impl Harness {
+        /// Publish one class frame with an explicit sequence and range,
+        /// and integrate it.
+        fn frame(
+            &self,
+            class_seq: u64,
+            first_id: u64,
+            last_id: u64,
+            subset: &[StandardEvent],
+        ) -> Vec<StandardEvent> {
+            let meta = ClassMeta {
+                class_seq,
+                first_id,
+                last_id,
+            };
+            let class = self
+                .publisher
+                .filter_class(&FilterSpec::subtree("/keep").canonical());
+            class.publish_with(|_| {
+                Message::from_parts(vec![
+                    bytes::Bytes::from_static(CLASS_TOPIC),
+                    meta.encode(),
+                    fsmon_events::encode_event_batch(subset),
+                ])
+            });
+            let mut out = Vec::new();
+            self.lane.poll(&mut out);
+            out
         }
     }
 
     #[test]
     fn contiguous_frames_deliver_without_healing() {
         let store = Arc::new(MemStore::new());
-        let mut lane = lane(&store);
-        let mut out = Vec::new();
-        lane.ingest_frame(meta(0, 1, 3), vec![ev(2, "/keep/a")], &mut out);
-        lane.ingest_frame(meta(1, 4, 5), vec![ev(5, "/keep/b")], &mut out);
+        let h = lane(&store);
+        let mut out = h.frame(0, 1, 3, &[ev(2, "/keep/a")]);
+        out.extend(h.frame(1, 4, 5, &[ev(5, "/keep/b")]));
         assert_eq!(out.len(), 2);
-        assert_eq!(lane.stats.gaps_detected, 0);
-        assert_eq!(lane.watermark, 5);
+        assert_eq!(h.lane.stats().gaps_detected, 0);
+        assert_eq!(h.lane.watermark(), 5);
     }
 
     #[test]
@@ -421,39 +220,40 @@ mod tests {
                 ev(4, "/other/lost2"),
             ])
             .unwrap();
-        let mut lane = lane(&store);
-        let mut out = Vec::new();
-        lane.ingest_frame(meta(7, 5, 6), vec![ev(5, "/keep/live")], &mut out);
+        let h = lane(&store);
+        let out = h.frame(7, 5, 6, &[ev(5, "/keep/live")]);
         let paths: Vec<&str> = out.iter().map(|e| e.path.as_str()).collect();
         assert_eq!(paths, ["/keep/lost", "/keep/lost2", "/keep/live"]);
-        assert_eq!(lane.stats.gaps_detected, 1);
-        assert_eq!(lane.stats.healed, 4, "heals the range, filter trims it");
-        assert!(lane.missing.is_empty());
+        let stats = h.lane.stats();
+        assert_eq!(stats.gaps_detected, 1);
+        assert_eq!(
+            stats.gap_events_healed, 4,
+            "heals the range, filter trims it"
+        );
+        // Nothing is left recorded missing, and the store has no tail.
+        assert_eq!(h.lane.catch_up(&mut Vec::new()), 0);
     }
 
     #[test]
     fn republished_ids_are_dropped_exactly_once() {
         let store = Arc::new(MemStore::new());
-        let mut lane = lane(&store);
-        let mut out = Vec::new();
-        lane.ingest_frame(meta(0, 1, 2), vec![ev(1, "/keep/a")], &mut out);
+        let h = lane(&store);
+        let mut out = h.frame(0, 1, 2, &[ev(1, "/keep/a")]);
         // A restarted aggregator re-publishes the same stamped range.
-        lane.ingest_frame(meta(1, 1, 2), vec![ev(1, "/keep/a")], &mut out);
+        out.extend(h.frame(1, 1, 2, &[ev(1, "/keep/a")]));
         assert_eq!(out.len(), 1);
-        assert_eq!(lane.stats.frames, 2);
+        assert_eq!(h.lane.stats().frames, 2);
     }
 
     #[test]
     fn empty_watermark_frames_advance_without_delivering() {
         let store = Arc::new(MemStore::new());
-        let mut lane = lane(&store);
-        let mut out = Vec::new();
-        lane.ingest_frame(meta(0, 1, 8), Vec::new(), &mut out);
-        assert!(out.is_empty());
-        assert_eq!(lane.watermark, 8);
+        let h = lane(&store);
+        assert!(h.frame(0, 1, 8, &[]).is_empty());
+        assert_eq!(h.lane.watermark(), 8);
         // The next frame is contiguous — no spurious gap.
-        lane.ingest_frame(meta(1, 9, 9), vec![ev(9, "/keep/x")], &mut out);
-        assert_eq!(lane.stats.gaps_detected, 0);
+        let out = h.frame(1, 9, 9, &[ev(9, "/keep/x")]);
+        assert_eq!(h.lane.stats().gaps_detected, 0);
         assert_eq!(out.len(), 1);
     }
 
@@ -465,11 +265,10 @@ mod tests {
         store
             .append_batch(&[ev(0, "/other/seen"), ev(0, "/keep/skipped")])
             .unwrap();
-        let mut lane = lane(&store);
-        let mut out = Vec::new();
-        lane.ingest_frame(meta(0, 1, 1), Vec::new(), &mut out);
-        lane.ingest_frame(meta(3, 3, 3), Vec::new(), &mut out);
-        assert_eq!(lane.stats.frames_lost, 2);
+        let h = lane(&store);
+        let mut out = h.frame(0, 1, 1, &[]);
+        out.extend(h.frame(3, 3, 3, &[]));
+        assert_eq!(h.lane.stats().frames_lost, 2);
         assert_eq!(out.len(), 1, "the id gap behind the lost frames heals");
         assert_eq!(out[0].path, "/keep/skipped");
     }
@@ -477,17 +276,16 @@ mod tests {
     #[test]
     fn catch_up_recovers_a_lost_tail_through_the_filter() {
         let store = Arc::new(MemStore::new());
-        let mut lane = lane(&store);
-        let mut out = Vec::new();
-        lane.ingest_frame(meta(0, 1, 1), vec![ev(1, "/keep/a")], &mut out);
+        let h = lane(&store);
+        h.frame(0, 1, 1, &[ev(1, "/keep/a")]);
         // Dense store sequences: filler occupies id 1, the tail is 2..3.
         store
             .append_batch(&[ev(0, "/keep/a"), ev(0, "/keep/tail"), ev(0, "/other/tail")])
             .unwrap();
-        out.clear();
-        lane.catch_up(&mut out);
+        let mut out = Vec::new();
+        h.lane.catch_up(&mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].path, "/keep/tail");
-        assert_eq!(lane.watermark, 3);
+        assert_eq!(h.lane.watermark(), 3);
     }
 }

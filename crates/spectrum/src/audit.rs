@@ -6,8 +6,8 @@
 //! that record, its JSON encoding, and the mapping into FSMonitor's
 //! standardized vocabulary.
 
-use crate::json::{Json, JsonError, ObjectBuilder};
 use fsmon_events::{EventKind, MonitorSource, StandardEvent};
+use fsmon_telemetry::json::{Json, JsonError};
 
 /// The audit event types Spectrum Scale's LWE policy engine raises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,20 +123,24 @@ pub struct AuditEvent {
 impl AuditEvent {
     /// Encode as the audit JSON document.
     pub fn to_json(&self) -> String {
-        let mut b = ObjectBuilder::new()
-            .str("event", self.event.as_str())
-            .str("path", &self.path)
-            .str("clusterName", &self.cluster_name)
-            .str("nodeName", &self.node_name)
-            .str("fsName", &self.fs_name)
-            .int("inode", self.inode as i64)
-            .int("fileSize", self.file_size as i64)
-            .bool("isDir", self.is_dir)
-            .int("eventTime", self.event_time_ns as i64);
+        let text = |s: &str| Json::Str(s.to_string());
+        let num = |n: u64| Json::Num(n.to_string());
+        let field = |key: &str, value: Json| (key.to_string(), value);
+        let mut fields = vec![
+            field("event", text(self.event.as_str())),
+            field("path", text(&self.path)),
+            field("clusterName", text(&self.cluster_name)),
+            field("nodeName", text(&self.node_name)),
+            field("fsName", text(&self.fs_name)),
+            field("inode", num(self.inode)),
+            field("fileSize", num(self.file_size)),
+            field("isDir", Json::Bool(self.is_dir)),
+            field("eventTime", num(self.event_time_ns)),
+        ];
         if let Some(old) = &self.old_path {
-            b = b.str("oldPath", old);
+            fields.push(field("oldPath", text(old)));
         }
-        b.build().render()
+        Json::Obj(fields).render()
     }
 
     /// Decode an audit JSON document.
@@ -152,9 +156,9 @@ impl AuditEvent {
                 .map(str::to_string)
                 .ok_or_else(|| AuditParseError::WrongType(k.to_string()))
         };
-        let int_field = |k: &str| -> Result<i64, AuditParseError> {
+        let int_field = |k: &str| -> Result<u64, AuditParseError> {
             field(k)?
-                .as_int()
+                .as_u64()
                 .ok_or_else(|| AuditParseError::WrongType(k.to_string()))
         };
         let event_name = str_field("event")?;
@@ -170,10 +174,10 @@ impl AuditEvent {
             cluster_name: str_field("clusterName")?,
             node_name: str_field("nodeName")?,
             fs_name: str_field("fsName")?,
-            inode: int_field("inode")? as u64,
-            file_size: int_field("fileSize")? as u64,
+            inode: int_field("inode")?,
+            file_size: int_field("fileSize")?,
             is_dir: matches!(doc.get("isDir"), Some(Json::Bool(true))),
-            event_time_ns: int_field("eventTime")? as u64,
+            event_time_ns: int_field("eventTime")?,
         })
     }
 

@@ -12,11 +12,11 @@
 //!
 //! This crate builds that extension, end to end:
 //!
-//! * [`json`] — a minimal, dependency-free JSON codec for the audit
-//!   record wire format (Spectrum Scale emits audit events as JSON).
 //! * [`audit`] — the audit record type with the real facility's fields
 //!   (`event`, `path`, `clusterName`, `nodeName`, `inode`, `fileSize`,
-//!   …) and its mapping into FSMonitor's standardized vocabulary.
+//!   …), its JSON encoding (Spectrum Scale emits audit events as JSON;
+//!   the codec is [`fsmon_telemetry::json`]), and its mapping into
+//!   FSMonitor's standardized vocabulary.
 //! * [`cluster`] — a simulated Spectrum Scale cluster: a shared
 //!   namespace mutated through per-protocol-node clients, every
 //!   operation emitting an audit record onto the multi-node message
@@ -47,7 +47,6 @@
 pub mod audit;
 pub mod cluster;
 pub mod dsi;
-pub mod json;
 
 pub use audit::{AuditEvent, AuditEventType};
 pub use cluster::{NodeClient, SpectrumCluster};

@@ -3,6 +3,7 @@
 //! (`parse(render(s)) == s`). The parsers are what `fsmon stats
 //! --from` and the round-trip tests consume.
 
+use crate::json::{escape, Json, JsonError};
 use crate::metrics::{bucket_of, bucket_upper_bound, HistogramSnapshot, HISTOGRAM_BUCKETS};
 use crate::registry::MetricId;
 use crate::snapshot::{MetricValue, Snapshot};
@@ -19,6 +20,12 @@ impl std::fmt::Display for ExportError {
 }
 
 impl std::error::Error for ExportError {}
+
+impl From<JsonError> for ExportError {
+    fn from(e: JsonError) -> ExportError {
+        ExportError(e.0)
+    }
+}
 
 fn err(msg: impl Into<String>) -> ExportError {
     ExportError(msg.into())
@@ -312,22 +319,6 @@ pub fn parse_prometheus(text: &str) -> Result<Snapshot, ExportError> {
 // JSON
 // ---------------------------------------------------------------------
 
-pub(crate) fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a snapshot as a JSON document:
 ///
 /// ```json
@@ -343,7 +334,7 @@ pub fn render_json(snapshot: &Snapshot) -> String {
         let labels = id
             .labels
             .iter()
-            .map(|(k, v)| format!("\"{}\": \"{}\"", escape_json(k), escape_json(v)))
+            .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
             .collect::<Vec<_>>()
             .join(", ");
         let body = match value {
@@ -364,204 +355,10 @@ pub fn render_json(snapshot: &Snapshot) -> String {
         };
         entries.push(format!(
             "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, {body}}}",
-            escape_json(&id.name)
+            escape(&id.name)
         ));
     }
     format!("{{\n  \"metrics\": [\n{}\n  ]\n}}\n", entries.join(",\n"))
-}
-
-/// A minimal JSON value, enough to parse [`render_json`] output (and,
-/// crate-internally, the health subsystem's incident bundles).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    /// Kept as the source text so 64-bit integers survive exactly
-    /// (an f64 mantissa would round counters above 2^53).
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-pub(crate) struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    pub(crate) fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, ExportError> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| err("unexpected end of JSON"))
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), ExportError> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> Result<Json, ExportError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, out: Json) -> Result<Json, ExportError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(out)
-        } else {
-            Err(err(format!("expected {lit}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ExportError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| err(format!("bad number at byte {start}")))?;
-        // Validate as a number, but keep the exact source text.
-        text.parse::<f64>()
-            .map_err(|_| err(format!("bad number at byte {start}")))?;
-        Ok(Json::Num(text.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, ExportError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).ok_or_else(|| err("bad codepoint"))?);
-                        }
-                        other => out.push(other as char),
-                    }
-                }
-                b => {
-                    // Re-join multi-byte UTF-8 sequences.
-                    let len = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos - 1..self.pos - 1 + len)
-                        .ok_or_else(|| err("truncated UTF-8"))?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| err("invalid UTF-8"))?);
-                    self.pos += len - 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ExportError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(err(format!("expected , or ] got '{}'", other as char))),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ExportError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(err(format!("expected , or }} got '{}'", other as char))),
-            }
-        }
-    }
 }
 
 pub(crate) fn field<'j>(obj: &'j [(String, Json)], name: &str) -> Result<&'j Json, ExportError> {
@@ -572,19 +369,13 @@ pub(crate) fn field<'j>(obj: &'j [(String, Json)], name: &str) -> Result<&'j Jso
 }
 
 pub(crate) fn as_u64(j: &Json) -> Result<u64, ExportError> {
-    match j {
-        Json::Num(n) => n
-            .parse()
-            .map_err(|_| err(format!("expected unsigned number, got {n}"))),
-        _ => Err(err(format!("expected unsigned number, got {j:?}"))),
-    }
+    j.as_u64()
+        .ok_or_else(|| err(format!("expected unsigned number, got {j:?}")))
 }
 
 /// Parse [`render_json`] output back into a snapshot.
 pub fn parse_json(text: &str) -> Result<Snapshot, ExportError> {
-    let mut parser = JsonParser::new(text);
-    let root = parser.value()?;
-    snapshot_from_json(&root)
+    snapshot_from_json(&Json::parse(text)?)
 }
 
 /// Rebuild a snapshot from an already-parsed [`render_json`] document

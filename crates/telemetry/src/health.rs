@@ -25,10 +25,8 @@
 //!    verdicts as JSON, 503 while alerting), and `/dashboard.json`
 //!    (windowed rates and quantiles for `fsmon top`-style views).
 
-use crate::export::{
-    self, escape_json, render_json, render_prometheus, snapshot_from_json, ExportError, Json,
-    JsonParser,
-};
+use crate::export::{self, render_json, render_prometheus, snapshot_from_json, ExportError};
+use crate::json::{escape, Json};
 use crate::series::SeriesStore;
 use crate::snapshot::Snapshot;
 use crate::trace::{self, Exemplar, TRACE_STAGES};
@@ -562,8 +560,8 @@ fn render_verdict(v: &ClauseVerdict) -> String {
     format!(
         "{{\"clause\": \"{}\", \"scope\": \"{}\", \"value\": {}, \"threshold\": {}, \
          \"breached\": {}, \"fast_burn\": {}, \"slow_burn\": {}, \"alerting\": {}}}",
-        escape_json(&v.clause),
-        escape_json(&v.scope),
+        escape(&v.clause),
+        escape(&v.scope),
         json_opt_f64(v.value),
         fmt_num(v.threshold),
         v.breached,
@@ -588,7 +586,7 @@ impl HealthReport {
             self.ready,
             self.ok,
             match &self.slo {
-                Some(s) => format!("\"{}\"", escape_json(s)),
+                Some(s) => format!("\"{}\"", escape(s)),
                 None => "null".into(),
             },
             self.incidents,
@@ -599,7 +597,7 @@ impl HealthReport {
 
     /// Parse a `/health` JSON document back into a report.
     pub fn from_json(text: &str) -> Result<HealthReport, ExportError> {
-        let root = JsonParser::new(text).value()?;
+        let root = Json::parse(text)?;
         let Json::Obj(root) = root else {
             return Err(err("health report is not an object"));
         };
@@ -670,17 +668,14 @@ fn as_bool(j: &Json) -> Result<bool, ExportError> {
 }
 
 fn as_f64(j: &Json) -> Result<f64, ExportError> {
-    match j {
-        Json::Num(n) => n.parse().map_err(|_| err(format!("bad number {n}"))),
-        _ => Err(err(format!("expected number, got {j:?}"))),
-    }
+    j.as_f64()
+        .ok_or_else(|| err(format!("expected number, got {j:?}")))
 }
 
 fn as_str(j: &Json) -> Result<String, ExportError> {
-    match j {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(err(format!("expected string, got {j:?}"))),
-    }
+    j.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| err(format!("expected string, got {j:?}")))
 }
 
 fn verdict_from_json(j: &Json) -> Result<ClauseVerdict, ExportError> {
@@ -810,11 +805,11 @@ impl IncidentBundle {
             "{{\n  \"format\": \"fsmon-incident-v1\",\n  \"reason\": \"{}\",\n  \
              \"unix_ms\": {},\n  \"config\": \"{}\",\n  \"slo\": {},\n  \
              \"verdicts\": [\n{}\n  ],\n  \"exemplar\": {},\n  \"snapshots\": [\n{}\n  ]\n}}\n",
-            escape_json(&self.reason),
+            escape(&self.reason),
             self.unix_ms,
-            escape_json(&self.config),
+            escape(&self.config),
             match &self.slo {
-                Some(s) => format!("\"{}\"", escape_json(s)),
+                Some(s) => format!("\"{}\"", escape(s)),
                 None => "null".into(),
             },
             verdicts,
@@ -841,7 +836,7 @@ impl IncidentBundle {
                 "crc mismatch: trailer {stated:08x}, body {actual:08x}"
             )));
         }
-        let root = JsonParser::new(body).value()?;
+        let root = Json::parse(body)?;
         let Json::Obj(root) = root else {
             return Err(err("bundle is not an object"));
         };
@@ -1297,7 +1292,7 @@ fn render_dashboard(shared: &HealthShared) -> String {
                 .join(", ");
             format!(
                 "    {{\"name\": \"{}\", \"delta\": {delta}, \"rate\": {}, \"points\": [{points}]}}",
-                escape_json(&name),
+                escape(&name),
                 fmt_num((rate * 1e3).round() / 1e3)
             )
         })
@@ -1309,7 +1304,7 @@ fn render_dashboard(shared: &HealthShared) -> String {
         .map(|name| {
             format!(
                 "    {{\"name\": \"{}\", \"value\": {}}}",
-                escape_json(&name),
+                escape(&name),
                 series.gauge_last(&name).unwrap_or(0)
             )
         })
@@ -1323,7 +1318,7 @@ fn render_dashboard(shared: &HealthShared) -> String {
             let p99 = series.quantile(&name, 0.99, window);
             format!(
                 "    {{\"name\": \"{}\", \"p50\": {}, \"p99\": {}}}",
-                escape_json(&name),
+                escape(&name),
                 p50.map(|v| v.to_string()).unwrap_or_else(|| "null".into()),
                 p99.map(|v| v.to_string()).unwrap_or_else(|| "null".into())
             )

@@ -19,7 +19,8 @@
 //! cold path — [`Registry::snapshot`] — produces a [`Snapshot`] that
 //! merges associatively across processes/shards, diffs for windowed
 //! rates, and renders to Prometheus text format or JSON (both
-//! round-trip through the bundled parsers). A [`Reporter`] thread
+//! round-trip through the bundled parsers; [`json`] is the workspace's
+//! one JSON codec). A [`Reporter`] thread
 //! periodically feeds snapshots to a callback for live stats output.
 //!
 //! ```
@@ -44,6 +45,7 @@
 
 pub mod export;
 pub mod health;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod reporter;

@@ -3,6 +3,8 @@
 //! Every `table*` binary prints its results through this renderer so
 //! paper-vs-measured comparisons line up consistently.
 
+use fsmon_telemetry::json::Json;
+
 /// A simple column-aligned table.
 #[derive(Debug, Default, Clone)]
 pub struct Table {
@@ -111,18 +113,17 @@ impl Table {
     /// Render as a JSON document:
     /// `{"title": …, "header": […], "rows": [[…]…], "notes": […]}`.
     pub fn to_json(&self) -> String {
-        let arr = |items: &[String]| -> String {
-            let cells: Vec<String> = items.iter().map(|s| json_escape(s)).collect();
-            format!("[{}]", cells.join(","))
-        };
-        let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
-        format!(
-            "{{\"title\":{},\"header\":{},\"rows\":[{}],\"notes\":{}}}",
-            json_escape(&self.title),
-            arr(&self.header),
-            rows.join(","),
-            arr(&self.notes),
-        )
+        let arr = |items: &[String]| Json::Arr(items.iter().cloned().map(Json::Str).collect());
+        Json::Obj(vec![
+            ("title".into(), Json::Str(self.title.clone())),
+            ("header".into(), arr(&self.header)),
+            (
+                "rows".into(),
+                Json::Arr(self.rows.iter().map(|r| arr(r)).collect()),
+            ),
+            ("notes".into(), arr(&self.notes)),
+        ])
+        .render()
     }
 
     /// Print the table; when `--json` is among the process arguments,
@@ -139,25 +140,6 @@ impl Table {
             }
         }
     }
-}
-
-/// Escape a string as a JSON string literal (quotes included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format a float with one decimal place.

@@ -16,7 +16,7 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP tests 50 runs)"
+echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP tests 50 runs, consumer conformance 20 runs)"
 # Tier-1 must be green every run, not most runs. Two spinner processes
 # take the cores away from the pipeline's threads at arbitrary points,
 # which is what turned the resolver-pool race into a 1-in-4 failure of
@@ -27,7 +27,9 @@ echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP t
 # scheduler sliced the records into steps. The TCP tests ride along
 # because a TCP subscription is acknowledged, not waited out: they have
 # no settling sleep left for a loaded host to outlast, and must not
-# need one. A single failure of any binary fails the gate.
+# need one. The consumer conformance table rides along because every
+# consumer shape, K=1 included, now waits on one arrival signal. A
+# single failure of any binary fails the gate.
 test_bin() { # package executable-stem cargo-target-args...
     local pkg="$1" stem="$2"
     shift 2
@@ -65,6 +67,7 @@ stress mq-tcp "$mq_bin" 50 tcp
 stress lustre-tcp "$lustre_bin" 50 tcp_transport_end_to_end
 stress end-to-end-tcp "$end_to_end_bin" 50 tcp_deployment_shape_works_end_to_end
 stress tcp-start "$tcp_start_bin" 50
+stress consumer-conformance "$lustre_bin" 20 every_consumer_shape_delivers_the_store_replay_exactly_once
 kill "${spinners[@]}" 2>/dev/null || true
 trap - EXIT
 
@@ -73,6 +76,21 @@ echo "==> benchmark smoke (every workload at 1/20 size, correctness only)"
 # smoke run checks that every workload still drains completely and
 # correctly through the current code. It claims no timing.
 benchmark/run.sh --smoke >/dev/null
+
+echo "==> benchmark seam unchanged and buildable"
+# BENCHMARK.json and benchmark/ are the instrument, not the code under
+# test: a change must leave them as committed, and benchmark/src/run.rs
+# must still compile against the workspace with the committed lock file.
+# run.sh builds without --locked, so a rewritten benchmark/Cargo.lock or
+# a broken import would otherwise pass unnoticed.
+if ! git diff --exit-code --stat -- BENCHMARK.json benchmark/; then
+    echo "FAIL: benchmark seam: BENCHMARK.json or benchmark/ differs from the commit"
+    exit 1
+fi
+if ! cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml; then
+    echo "FAIL: benchmark seam: benchmark/ does not build against this workspace with its Cargo.lock"
+    exit 1
+fi
 
 echo "==> docs and scripts name only binaries that exist"
 # Every `--bin <name>` / `--bench <name>` the documents or the

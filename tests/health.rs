@@ -6,6 +6,7 @@
 use fsmon_faults::{FaultPlan, FaultPoint, FaultRule};
 use fsmon_lustre::{ScalableConfig, ScalableMonitor};
 use fsmon_telemetry::health::{http_get, SnapshotFn};
+use fsmon_telemetry::json::Json;
 use fsmon_telemetry::{
     HealthMonitor, HealthOptions, HealthReport, IncidentBundle, Registry, Reporter, SloSpec,
     Snapshot,
@@ -23,20 +24,23 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Pull the first `"<key>": <n>` after `anchor` out of a JSON document
-/// without a JSON dependency (the dashboard has no decoder — it feeds
-/// browsers — so tests pick fields out by key).
-fn json_number_after(text: &str, anchor: &str, key: &str) -> f64 {
-    let scoped = &text[text
-        .find(anchor)
-        .unwrap_or_else(|| panic!("no {anchor} in {text}"))..];
-    let quoted = format!("\"{key}\"");
-    let after = &scoped[scoped.find(&quoted).expect("key present") + quoted.len()..];
-    let num = after.trim_start_matches([':', ' ']);
-    let end = num
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(num.len());
-    num[..end].parse().expect("number")
+/// The number `key` of the dashboard entry named `name` (in any of
+/// its sections), or of the document itself when `name` is `None`.
+fn dashboard_number(dashboard: &str, name: Option<&str>, key: &str) -> f64 {
+    let doc = Json::parse(dashboard).expect("dashboard.json parses");
+    let holder = match name {
+        None => &doc,
+        Some(name) => ["counters", "gauges", "histograms"]
+            .iter()
+            .filter_map(|section| match doc.get(section) {
+                Some(Json::Arr(entries)) => Some(entries),
+                _ => None,
+            })
+            .flatten()
+            .find(|entry| entry.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no {name} in {dashboard}")),
+    };
+    holder.get(key).and_then(Json::as_f64).expect("number")
 }
 
 /// A stalled collector must breach a throughput SLO, flip the health
@@ -254,17 +258,17 @@ fn observer_metrics_parse_and_dashboard_agrees_with_stats_diff() {
     // Nothing incremented after `after`, and the ring has not wrapped,
     // so the dashboard's windowed delta is exactly the stats --diff
     // delta over the run, and its rate is that delta over the span.
-    let delta = json_number_after(&dashboard, "it_requests_total", "delta");
+    let delta = dashboard_number(&dashboard, Some("it_requests_total"), "delta");
     assert_eq!(delta as u64, diff.counter("it_requests_total"));
-    let rate = json_number_after(&dashboard, "it_requests_total", "rate");
-    let span_secs = json_number_after(&dashboard, "{", "span_secs");
+    let rate = dashboard_number(&dashboard, Some("it_requests_total"), "rate");
+    let span_secs = dashboard_number(&dashboard, None, "span_secs");
     assert!(span_secs > 0.0);
     let expected = delta / span_secs;
     assert!(
         (rate - expected).abs() <= expected * 0.02 + 0.01,
         "dashboard rate {rate} disagrees with delta/span {expected}"
     );
-    let p99 = json_number_after(&dashboard, "it_latency_ns", "p99");
+    let p99 = dashboard_number(&dashboard, Some("it_latency_ns"), "p99");
     assert_eq!(p99 as u64, hist.quantile(0.99));
 
     let (status, health) = http_get(&addr, "/health").unwrap();

@@ -484,12 +484,13 @@ proptest! {
             publisher.bind(&endpoint).unwrap();
             publishers.push(publisher);
             lanes.push(Arc::new(
-                Consumer::connect_named(
+                Consumer::connect_traced(
                     &ctx,
                     &endpoint,
                     fsmon_core::EventFilter::all(),
                     Some(store.clone()),
                     &format!("prop-s{k}"),
+                    fsmon_telemetry::Tracer::disabled(),
                 )
                 .unwrap(),
             ));
