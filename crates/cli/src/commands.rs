@@ -1685,7 +1685,6 @@ fn chaos(
             store_segment_bytes: 64 * 1024,
             durability,
             aggregator_shards: shards,
-            cursor_file: Some(dir.join("cursors")),
             faults: faults.clone(),
             resolver_threads,
             publish_lanes,
@@ -1901,7 +1900,7 @@ fn chaos(
             fs.mdt(m).changelog_stats().appended;
     }
     let expected: u64 = expected_shard.iter().sum();
-    monitor.wait_events(expected, Duration::from_secs(60));
+    let published_all = monitor.wait_events(expected, Duration::from_secs(60));
 
     // Exercise the history REQ/REP path under the same plan: storm
     // injects request drops/errors, and the retry loop must heal them.
@@ -1925,8 +1924,11 @@ fn chaos(
 
     // Stopping joins the store lane, so the store now holds every
     // stamped event; the drain threads then heal and finish. The
-    // health verdict is read first — stop() tears the engine down.
+    // health verdict and the changelog backlog are read first — stop()
+    // tears the engine down, and what is still in a changelog then
+    // reaches no consumer.
     let health_report = monitor.health().map(|h| h.report());
+    let pending = monitor.total_backlog();
     monitor.stop();
     stopped.store(true, Ordering::Relaxed);
 
@@ -1958,26 +1960,8 @@ fn chaos(
     // The federation invariant's other half: every shard's sequencer
     // stamped exactly its MDTs' records, so the union check above is
     // really a union of K linear shard replays.
-    let mut seq_ok = true;
-    for (k, s) in stores.iter().enumerate() {
-        let st = s.stats();
-        if st.last_seq != expected_shard[k] {
-            seq_ok = false;
-        }
-        if shards > 1 {
-            let _ = writeln!(
-                out,
-                "shard {k}   : {} sequenced (expected {}) -> {}",
-                st.last_seq,
-                expected_shard[k],
-                if st.last_seq == expected_shard[k] {
-                    "PASS"
-                } else {
-                    "FAIL"
-                }
-            );
-        }
-    }
+    let last_seqs: Vec<u64> = stores.iter().map(|s| s.stats().last_seq).collect();
+    let seq_ok = last_seqs == expected_shard;
 
     let after = fsmon_telemetry::global().snapshot();
     let delta = after.delta_from(&before);
@@ -1990,6 +1974,7 @@ fn chaos(
         "gaps_detected",
         "gap_events_healed",
         "duplicates_dropped",
+        "store_abandoned",
         "reconnects_total",
         "errors_total",
         "torn_tails",
@@ -2020,6 +2005,30 @@ fn chaos(
         out,
         "generated : {expected} events in {:.1?} ({rate:.0} ev/s)",
         elapsed
+    );
+    let _ = writeln!(
+        out,
+        "pending   : {pending} records still in the changelogs at stop; \
+         wait for {expected} published events {}",
+        if published_all {
+            "done"
+        } else {
+            "timed out after 60s"
+        }
+    );
+    // One shard store per aggregator shard, each holding its shard's
+    // dense stream: the store is complete when its last sequence is
+    // the shard's record count.
+    let _ = writeln!(
+        out,
+        "store     : last_seq {} -> {}",
+        last_seqs
+            .iter()
+            .zip(&expected_shard)
+            .map(|(got, want)| format!("{got} of {want}"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        if seq_ok { "PASS" } else { "FAIL" }
     );
     for (name, total, unique, lane_lost, lane_dup) in &per_lane {
         let _ = writeln!(
@@ -2386,6 +2395,14 @@ mod tests {
         // cursor, and still folded to the full-replay state.
         assert!(out.contains("replay fold equal -> PASS"), "{out}");
         assert!(out.contains("fault/recovery counters"), "{out}");
+        // The store ended holding the whole dense stream, and nothing
+        // was left in the changelog.
+        assert!(
+            out.lines()
+                .any(|l| l.starts_with("store     : last_seq") && l.ends_with("-> PASS")),
+            "{out}"
+        );
+        assert!(out.contains("pending   : 0 records"), "{out}");
         // The pushdown lane saw exactly its subset, exactly once.
         assert!(out.contains("filtered  : class"), "{out}");
         assert!(out.contains("-> PASS"), "{out}");

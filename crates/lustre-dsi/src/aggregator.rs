@@ -88,6 +88,11 @@ pub struct AggregatorStats {
     pub dedup_dropped: u64,
     /// Lane threads restarted after a crash.
     pub lane_restarts: u64,
+    /// Stamped events given up on while stopping: appends that kept
+    /// failing through one whole retry schedule, or a batch the
+    /// sequencer found no room for in a full store queue. Every
+    /// published event is stored or counted here.
+    pub store_abandoned: u64,
 }
 
 struct Shared {
@@ -97,6 +102,7 @@ struct Shared {
     decode_errors: AtomicU64,
     dedup_dropped: AtomicU64,
     lane_restarts: AtomicU64,
+    store_abandoned: AtomicU64,
     next_id: AtomicU64,
     stop: AtomicBool,
     demux_alive: AtomicBool,
@@ -163,6 +169,7 @@ struct LaneCtx {
     t_decode_errors: Arc<fsmon_telemetry::Counter>,
     t_dedup_dropped: Arc<fsmon_telemetry::Counter>,
     t_store_retries: Arc<fsmon_telemetry::Counter>,
+    t_store_abandoned: Arc<fsmon_telemetry::Counter>,
     t_lag: Arc<fsmon_telemetry::Gauge>,
 }
 
@@ -321,6 +328,7 @@ impl Aggregator {
             decode_errors: AtomicU64::new(0),
             dedup_dropped: AtomicU64::new(0),
             lane_restarts: AtomicU64::new(0),
+            store_abandoned: AtomicU64::new(0),
             // Resume the dense id stream where the store left off: a
             // fresh store reports 0 and ids start at 1 as before.
             next_id: AtomicU64::new(store.stats().last_seq),
@@ -373,6 +381,7 @@ impl Aggregator {
             t_decode_errors: agg_scope.counter("decode_errors_total"),
             t_dedup_dropped: agg_scope.counter("dedup_dropped_total"),
             t_store_retries: agg_scope.counter("store_retries_total"),
+            t_store_abandoned: agg_scope.counter("store_abandoned_total"),
             // Events published to live consumers but not yet persisted —
             // the publish-side vs store-lane lag.
             t_lag: agg_scope.gauge("store_lag"),
@@ -570,15 +579,24 @@ impl Aggregator {
             decode_errors: self.shared.decode_errors.load(Ordering::Relaxed),
             dedup_dropped: self.shared.dedup_dropped.load(Ordering::Relaxed),
             lane_restarts: self.shared.lane_restarts.load(Ordering::Relaxed),
+            store_abandoned: self.shared.store_abandoned.load(Ordering::Relaxed),
         }
     }
 
-    /// Stop every stage thread and join them.
+    /// Stop every stage thread and join them. A store lane drains its
+    /// queue before it exits; one that had died (and that the stop kept
+    /// from being respawned) left its queue behind, and that queue is
+    /// committed here, so every stamped event is stored or counted in
+    /// [`AggregatorStats::store_abandoned`].
     pub fn stop(&self) {
         self.shared.stop.store(true, Ordering::Relaxed);
         let threads: Vec<_> = self.threads.lock().drain(..).collect();
         for t in threads {
             let _ = t.join();
+        }
+        let mut streak = None;
+        while let Ok(item) = self.lane.store_rx.try_recv() {
+            store_group(&self.lane, item, &mut streak);
         }
     }
 
@@ -739,9 +757,10 @@ fn run_worker_lane(lane: Arc<LaneCtx>, slot: usize) {
             }
         }
         // Dedup by changelog index (frame 2, when present): a restarted
-        // collector resumes from its durable cursor, so events at or
-        // below this topic's highwater were already stamped and
-        // forwarded by a previous incarnation. A whole batch below the
+        // collector resumes at the MDT's clear index, which a failed
+        // clear leaves behind what it published, so events at or below
+        // this topic's highwater were already stamped and forwarded by
+        // a previous incarnation. A whole batch below the
         // highwater is dropped outright; a straddling batch (the
         // restart read more records than the crashed incarnation's
         // final publish) is trimmed to the unseen suffix using the
@@ -871,20 +890,23 @@ fn run_sequencer(lane: Arc<LaneCtx>) {
         // Hand the (cleared, capacity-retaining) buffer back to the
         // workers; if the pool is full it's simply dropped.
         let _ = lane.recycle_tx.try_send(batch.buf);
-        send_or_stop(&lane.store_tx, shared, (batch.events, batch.traces));
+        if !send_or_stop(&lane.store_tx, shared, (batch.events, batch.traces)) {
+            abandon(&lane, n);
+        }
     }
     lane.shared.sequencer_alive.store(false, Ordering::Relaxed);
 }
 
 /// The persistence lane: group-commits every event to the reliable
 /// store, riding out transient failures with the shared retry policy.
-/// An event is never skipped — the store is the replay source consumers
-/// heal from, so durability here is the loss-free contract. On a
-/// partial batch failure the already-appended prefix is measured from
-/// the store's own counters and only the suffix is retried, keeping
-/// appends exactly-once.
+/// An event is never skipped while the pipeline runs — the store is
+/// the replay source consumers heal from, so durability here is the
+/// loss-free contract. Once stopping, the queue is still drained; only
+/// a store that commits nothing through a whole retry schedule makes
+/// the lane give up, and what it gives up is counted.
 fn run_store_lane(lane: Arc<LaneCtx>) {
     let shared = &lane.shared;
+    let mut streak = None;
     loop {
         if lane
             .faults
@@ -894,78 +916,7 @@ fn run_store_lane(lane: Arc<LaneCtx>) {
             break;
         }
         match lane.store_rx.recv_timeout(Duration::from_millis(20)) {
-            Ok((first, first_traces)) => {
-                // Group commit: fold everything already queued into one
-                // append_batch call so the store amortizes per-append
-                // locking and the lag drains in large strides.
-                let mut group = first;
-                let mut traces = first_traces;
-                while group.len() < lane.store_group_max {
-                    match lane.store_rx.try_recv() {
-                        Ok((more, more_traces)) => {
-                            group.extend(more);
-                            traces.extend(more_traces);
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let mut offset = 0;
-                let mut backoff = lane.retry.backoff();
-                while offset < group.len() {
-                    // One durable commit covers at most store_group_max
-                    // events: a batch larger than the cap (the sequencer
-                    // publishes in its own strides) is split so the cap
-                    // really bounds the commit, not just the folding.
-                    let end = (offset + lane.store_group_max).min(group.len());
-                    let before = lane.store.stats().appended;
-                    match lane.store.append_batch(&group[offset..end]) {
-                        Ok(_) => {
-                            let n = (end - offset) as u64;
-                            shared.stored.fetch_add(n, Ordering::Relaxed);
-                            lane.t_stored.add(n);
-                            offset = end;
-                        }
-                        Err(_) => {
-                            // The store appends a prefix then fails;
-                            // resume from the measured prefix so no
-                            // event is double-written.
-                            let done = (lane.store.stats().appended - before) as usize;
-                            if done > 0 {
-                                shared.stored.fetch_add(done as u64, Ordering::Relaxed);
-                                lane.t_stored.add(done as u64);
-                                offset += done;
-                            }
-                            if shared.stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            lane.t_store_retries.inc();
-                            // Exhausting one backoff schedule starts
-                            // another: persistence never gives up on an
-                            // event while the pipeline runs.
-                            let sleep = backoff.next().unwrap_or_else(|| {
-                                backoff = lane.retry.backoff();
-                                lane.retry.cap
-                            });
-                            std::thread::sleep(sleep);
-                        }
-                    }
-                }
-                lane.t_lag.set(
-                    shared.published.load(Ordering::Relaxed) as i64
-                        - shared.stored.load(Ordering::Relaxed) as i64,
-                );
-                // Traced events in a fully committed group get their
-                // store-commit stage stamped and folded here — the only
-                // stage the consumer hop never sees (the store lane is
-                // a branch, not a link, of the delivery path).
-                if offset == group.len() && !traces.is_empty() && lane.tracer.enabled() {
-                    let commit_ns = lane.tracer.now_ns();
-                    for rec in &mut traces {
-                        rec.stamp(TraceStage::StoreCommit, commit_ns);
-                        trace::fold_stage(rec, TraceStage::StoreCommit);
-                    }
-                }
-            }
+            Ok(item) => store_group(&lane, item, &mut streak),
             Err(_) => {
                 if shared.stop.load(Ordering::Relaxed) {
                     break;
@@ -974,6 +925,103 @@ fn run_store_lane(lane: Arc<LaneCtx>) {
         }
     }
     lane.shared.store_alive.store(false, Ordering::Relaxed);
+}
+
+/// Commit `first` plus everything already queued behind it (up to the
+/// group cap) as one group. On a partial batch failure the
+/// already-appended prefix is measured from the store's own counters
+/// and only the suffix is retried, keeping appends exactly-once.
+/// `streak` is the retry schedule of the current run of failed appends
+/// (`None` once an append commits anything). When it runs out while
+/// the aggregator is stopping, the rest of the group is counted as
+/// abandoned, and until an append succeeds again every later group
+/// gets one attempt.
+fn store_group(
+    lane: &LaneCtx,
+    (first, first_traces): (Vec<StandardEvent>, Vec<TraceRecord>),
+    streak: &mut Option<fsmon_faults::Backoff>,
+) {
+    let shared = &lane.shared;
+    // Group commit: fold everything already queued into one
+    // append_batch call so the store amortizes per-append locking and
+    // the lag drains in large strides.
+    let mut group = first;
+    let mut traces = first_traces;
+    while group.len() < lane.store_group_max {
+        match lane.store_rx.try_recv() {
+            Ok((more, more_traces)) => {
+                group.extend(more);
+                traces.extend(more_traces);
+            }
+            Err(_) => break,
+        }
+    }
+    let mut offset = 0;
+    while offset < group.len() {
+        // One durable commit covers at most store_group_max events: a
+        // batch larger than the cap (the sequencer publishes in its own
+        // strides) is split so the cap really bounds the commit, not
+        // just the folding.
+        let end = (offset + lane.store_group_max).min(group.len());
+        let before = lane.store.stats().appended;
+        match lane.store.append_batch(&group[offset..end]) {
+            Ok(_) => {
+                let n = (end - offset) as u64;
+                shared.stored.fetch_add(n, Ordering::Relaxed);
+                lane.t_stored.add(n);
+                offset = end;
+                *streak = None;
+            }
+            Err(_) => {
+                // The store appends a prefix then fails; resume from
+                // the measured prefix so no event is double-written.
+                let done = (lane.store.stats().appended - before) as usize;
+                if done > 0 {
+                    shared.stored.fetch_add(done as u64, Ordering::Relaxed);
+                    lane.t_stored.add(done as u64);
+                    offset += done;
+                    *streak = None;
+                }
+                lane.t_store_retries.inc();
+                let sleep = match streak.get_or_insert_with(|| lane.retry.backoff()).next() {
+                    Some(sleep) => sleep,
+                    // A whole schedule committed nothing. Once stopping,
+                    // give up; while the pipeline runs, start another:
+                    // persistence never gives up on an event then.
+                    None if shared.stop.load(Ordering::Relaxed) => {
+                        abandon(lane, (group.len() - offset) as u64);
+                        break;
+                    }
+                    None => {
+                        *streak = Some(lane.retry.backoff());
+                        lane.retry.cap
+                    }
+                };
+                std::thread::sleep(sleep);
+            }
+        }
+    }
+    lane.t_lag.set(
+        shared.published.load(Ordering::Relaxed) as i64
+            - shared.stored.load(Ordering::Relaxed) as i64,
+    );
+    // Traced events in a fully committed group get their store-commit
+    // stage stamped and folded here — the only stage the consumer hop
+    // never sees (the store lane is a branch, not a link, of the
+    // delivery path).
+    if offset == group.len() && !traces.is_empty() && lane.tracer.enabled() {
+        let commit_ns = lane.tracer.now_ns();
+        for rec in &mut traces {
+            rec.stamp(TraceStage::StoreCommit, commit_ns);
+            trace::fold_stage(rec, TraceStage::StoreCommit);
+        }
+    }
+}
+
+/// Count `n` stamped events the store will never hold.
+fn abandon(lane: &LaneCtx, n: u64) {
+    lane.shared.store_abandoned.fetch_add(n, Ordering::Relaxed);
+    lane.t_store_abandoned.add(n);
 }
 
 /// A batch's changelog index range, plus (optionally) the index of the
@@ -1268,6 +1316,77 @@ mod tests {
         assert_eq!(store.stats().appended, 1, "nothing lost across restart");
         assert_eq!(agg.stats().lane_restarts, 2);
         agg.stop();
+    }
+
+    /// Publish one batch of two events while the store lane is dead
+    /// (crashed, and no supervisor respawns it), then stop over a file
+    /// store whose next `failures` appends fail; returns the stats after
+    /// the stop and what the store holds.
+    fn stop_after_store_lane_death(failures: u64) -> (AggregatorStats, u64) {
+        use fsmon_faults::{FaultPlan, FaultRule};
+        let tag = format!("dead-store-{failures}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(format!("fsmon-agg-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let faults = FaultPlan::new(7)
+            .with(
+                FaultPoint::AggregatorStoreCrash,
+                FaultRule::per_10k(10_000).limit(1),
+            )
+            .with(
+                FaultPoint::StoreAppend,
+                FaultRule::per_10k(10_000).limit(failures),
+            )
+            .arm();
+        let store =
+            Arc::new(fsmon_store::FileStore::open_with(&dir, 64 * 1024, faults.clone()).unwrap());
+        let ctx = Context::new();
+        let source = format!("inproc://src-{tag}");
+        let publisher = collector_socket(&ctx, &source).unwrap();
+        let retry = Retry {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            max_attempts: 6,
+            deadline: Duration::from_secs(60),
+            ..Retry::fast()
+        };
+        let agg = Aggregator::start_with(
+            &ctx,
+            &[source],
+            &format!("inproc://agg-{tag}"),
+            store.clone(),
+            faults,
+            retry,
+        )
+        .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while agg.lanes_alive().1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(!agg.lanes_alive().1, "the store lane crashed");
+        let ev = |p: &str| StandardEvent::new(EventKind::Create, "/r", p);
+        publisher.send(batch_msg(&[ev("a"), ev("b")])).unwrap();
+        while agg.stats().published < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(agg.stats().published, 2);
+        agg.stop();
+        let appended = store.stats().appended;
+        std::fs::remove_dir_all(&dir).ok();
+        (agg.stats(), appended)
+    }
+
+    /// `stop()` commits the queue a dead store lane left behind, riding
+    /// out a failing store through one retry schedule: six attempts, so
+    /// five failures in a row abandon nothing and a sixth gives the
+    /// group up, counted. Every published event is stored or counted.
+    #[test]
+    fn stop_stores_or_counts_every_published_event() {
+        for (failures, abandoned) in [(5, 0), (6, 2)] {
+            let (stats, appended) = stop_after_store_lane_death(failures);
+            assert_eq!(stats.store_abandoned, abandoned, "{failures} failures");
+            assert_eq!(stats.stored, appended, "{failures} failures");
+            assert_eq!(stats.stored + stats.store_abandoned, 2);
+        }
     }
 
     /// Observability invariant: trace records attached by a collector

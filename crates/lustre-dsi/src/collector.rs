@@ -389,12 +389,15 @@ impl Collector {
         self
     }
 
-    /// Rebuild a collector after a crash, resuming from the last
-    /// changelog index a previous incarnation had processed. Because
-    /// collectors clear the changelog only up to what they published
-    /// (`step` processes, publishes, then clears), a restart from the
-    /// persisted cursor neither loses nor duplicates records — the
-    /// uncleared tail is still retained by the MDT.
+    /// Rebuild a collector after a crash, resuming after changelog
+    /// index `last_index` — the previous incarnation's clear index, read
+    /// from the MDT ([`MdtHandle::cleared_index`]). Records past it are
+    /// still retained, because the dead incarnation's changelog user
+    /// pins them until the caller shuts it down. `step` clears *before*
+    /// it publishes, so a crash between the two loses that batch;
+    /// a failed clear leaves the index behind what was published, so
+    /// the restart re-reads those records and the aggregator's
+    /// per-topic dedup drops them.
     pub fn resume(
         mdt: MdtHandle,
         watch_root: impl Into<String>,
@@ -411,15 +414,21 @@ impl Collector {
         c
     }
 
-    /// The changelog cursor: index of the last record processed. A
-    /// supervisor persists this to support [`resume`](Collector::resume).
+    /// Index of the last record processed (read, whether or not its
+    /// clear succeeded).
     pub fn last_index(&self) -> u64 {
         self.last_index
     }
 
+    /// The index the MDT holds as cleared for this collector's
+    /// changelog user: where a replacement [`resume`](Collector::resume)s.
+    pub(crate) fn cleared_index(&self) -> u64 {
+        self.mdt.cleared_index(self.user)
+    }
+
     /// Deregister this collector's changelog user so its watermark no
-    /// longer pins records. Call when decommissioning a collector (a
-    /// crashed one is cleaned up by [`resume`]'s clear instead).
+    /// longer pins records. Call when decommissioning a collector, or
+    /// once its replacement has resumed.
     pub fn shutdown(self) {
         self.mdt.deregister_user(self.user);
     }
@@ -456,9 +465,9 @@ impl Collector {
         self.resolver.process_record(rec)
     }
 
-    /// One collection cycle: read a batch, process it, publish the
-    /// standardized events, and purge the Changelog up to the last
-    /// consumed record. Returns the events produced.
+    /// One collection cycle: read a batch, process it, purge the
+    /// Changelog up to the last consumed record, then publish the
+    /// standardized events. Returns the events produced.
     ///
     /// If a publisher is attached but has **no live subscriber**, the
     /// cycle holds: publishing would drop the batch on the floor
@@ -1553,7 +1562,7 @@ mod tests {
         }
         let batch = first.step();
         assert_eq!(batch.len(), 10);
-        let cursor = first.last_index();
+        let cursor = first.cleared_index();
         // "Crash": drop without shutdown — the dead user's watermark
         // still pins nothing it already cleared.
         drop(first);

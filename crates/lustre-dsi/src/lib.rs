@@ -47,7 +47,6 @@
 pub mod aggregator;
 pub mod collector;
 pub mod consumer;
-pub mod cursor;
 pub mod fanout;
 pub mod history;
 pub mod monitor;
@@ -58,7 +57,6 @@ pub mod subscriber;
 pub use aggregator::{Aggregator, AggregatorStats};
 pub use collector::{Collector, CollectorStats};
 pub use consumer::Consumer;
-pub use cursor::CursorFile;
 pub use fanout::{ClassMeta, FanoutEngine, CLASS_TOPIC};
 pub use history::{HistoryClient, HistoryService, HistoryStats};
 pub use monitor::{LustreDsi, ScalableConfig, ScalableMonitor, Transport};

@@ -73,11 +73,6 @@ pub struct ScalableConfig {
     /// from the data store when next data purge cycle is initiated",
     /// §IV Consumption). `None` disables automatic purging.
     pub purge_interval: Option<Duration>,
-    /// Path of a crash-safe per-MDT cursor file. When set, collectors
-    /// resume from the persisted cursors at start and persist progress
-    /// as they go — a monitor restart neither loses nor duplicates
-    /// records.
-    pub cursor_file: Option<std::path::PathBuf>,
     /// Fault plane consulted by collector lanes (crash injection) and
     /// armed on the aggregator's consumer-facing link. Unarmed
     /// ([`Faults::none`]) by default; the supervisor restarts whatever
@@ -150,7 +145,6 @@ impl Default for ScalableConfig {
             store_segment_bytes: fsmon_store::file::DEFAULT_SEGMENT_BYTES,
             durability: fsmon_store::Durability::None,
             purge_interval: Some(Duration::from_secs(30)),
-            cursor_file: None,
             faults: Faults::none(),
             retry: Retry::fast(),
             resolver_threads: 4,
@@ -245,15 +239,13 @@ struct CollectorLane {
     alive: Arc<AtomicBool>,
     counters: Arc<LaneCounters>,
     stop: Arc<AtomicBool>,
-    cursors: Option<Arc<Mutex<crate::cursor::CursorFile>>>,
     faults: Faults,
 }
 
 /// Run one collector lane until stop — or until an injected crash
-/// kills it between publishing a batch and persisting its cursor (the
-/// worst-case window: the restarted incarnation re-reads and
-/// re-publishes, and the aggregator's changelog-index dedup absorbs
-/// the duplicates).
+/// kills it after a productive step. The supervisor then resumes a
+/// replacement at the clear index the MDT holds for the dead
+/// incarnation's changelog user.
 ///
 /// The lane is driven by the changelog, not by a timer: it steps while
 /// steps produce events and otherwise blocks in
@@ -282,7 +274,7 @@ fn spawn_collector_lane(threads: &Mutex<Vec<std::thread::JoinHandle<()>>>, lane:
                 // health engine's SLO fires.
                 lane.faults.inject_or_delay(FaultPoint::CollectorStall);
                 let t0 = Instant::now();
-                let (produced, cursor) = {
+                let (produced, since) = {
                     let mut c = lane.collector.lock();
                     (c.step().len(), c.last_index())
                 };
@@ -290,16 +282,11 @@ fn spawn_collector_lane(threads: &Mutex<Vec<std::thread::JoinHandle<()>>>, lane:
                     let elapsed = t0.elapsed().as_nanos() as u64;
                     lane.counters.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
                     step_ns.record(elapsed);
-                    // Rolled per productive step: the window it models
-                    // is "published, cursor not yet persisted".
+                    // Rolled per productive step, after the step's
+                    // clear and publish.
                     if lane.faults.inject(FaultPoint::CollectorCrash).is_some() {
                         lane.alive.store(false, Ordering::Relaxed);
                         return;
-                    }
-                    if let Some(cursors) = &lane.cursors {
-                        let mut cf = cursors.lock();
-                        cf.advance(mdt, cursor);
-                        let _ = cf.flush();
                     }
                     if quick_wakes < LANE_QUICK_WAKES {
                         continue;
@@ -313,7 +300,7 @@ fn spawn_collector_lane(threads: &Mutex<Vec<std::thread::JoinHandle<()>>>, lane:
                     continue;
                 }
                 let parked = Instant::now();
-                if !lane.mdt.wait_changelog(cursor, LANE_PARK) {
+                if !lane.mdt.wait_changelog(since, LANE_PARK) {
                     quick_wakes = 0;
                     lane.counters.idle_wakeups.fetch_add(1, Ordering::Relaxed);
                     idle_wakeups.inc();
@@ -331,6 +318,47 @@ fn spawn_collector_lane(threads: &Mutex<Vec<std::thread::JoinHandle<()>>>, lane:
         })
         .expect("spawn collector thread");
     threads.lock().push(handle);
+}
+
+/// The one way a collector comes up, at start and on every restart:
+/// bind its publisher (at `inproc_name` in-process, on an ephemeral
+/// loopback port over TCP) and build the collector behind it with the
+/// config's retry policy, resolver pool and tracer, resuming after
+/// changelog index `resume_at`. At 0 a fresh changelog user starts at
+/// the MDT's oldest retained record. Returns the endpoint to subscribe
+/// to; the caller spawns the lane.
+fn launch_collector(
+    ctx: &Context,
+    fs: &Arc<LustreFs>,
+    config: &ScalableConfig,
+    tracer: &fsmon_telemetry::Tracer,
+    mdt: u16,
+    inproc_name: String,
+    resume_at: u64,
+) -> Result<(String, Collector), fsmon_mq::MqError> {
+    let publisher = ctx.publisher();
+    let endpoint = match config.transport {
+        Transport::Inproc => {
+            publisher.bind(&inproc_name)?;
+            inproc_name
+        }
+        Transport::Tcp => {
+            publisher.bind("tcp://127.0.0.1:0")?;
+            format!("tcp://{}", publisher.local_addr().expect("tcp bound"))
+        }
+    };
+    let collector = Collector::resume(
+        fs.mdt(mdt),
+        config.watch_root.clone(),
+        config.cache_size,
+        config.batch_size,
+        Some(publisher),
+        resume_at,
+    )
+    .with_retry(config.retry)
+    .with_resolver_threads(config.resolver_threads)
+    .with_tracer(tracer.clone());
+    Ok((endpoint, collector))
 }
 
 impl ScalableMonitor {
@@ -396,56 +424,17 @@ impl ScalableMonitor {
             fsmon_telemetry::Tracer::disabled()
         };
 
-        // Persisted cursors: resume collectors where the previous
-        // incarnation stopped.
-        let cursors = match &config.cursor_file {
-            Some(path) => Some(Arc::new(Mutex::new(
-                crate::cursor::CursorFile::open(path)
-                    .map_err(|e| fsmon_mq::MqError::BindFailed(format!("cursor file: {e}")))?,
-            ))),
-            None => None,
-        };
-
-        // Bind one publisher per collector, recording resolved endpoints.
+        // One collector per MDT, each starting at its MDT's oldest
+        // retained record: a previous monitor's progress survives in
+        // the changelog (exact while the monitor is its only reader).
         let mut collector_endpoints = Vec::new();
         let mut collectors = Vec::new();
         for i in 0..fs.mdt_count() {
-            let publisher = ctx.publisher();
-            let endpoint = match config.transport {
-                Transport::Inproc => {
-                    let ep = format!("inproc://fsmon-{run_id}-mdt{i}");
-                    publisher.bind(&ep)?;
-                    ep
-                }
-                Transport::Tcp => {
-                    publisher.bind("tcp://127.0.0.1:0")?;
-                    format!("tcp://{}", publisher.local_addr().expect("tcp bound"))
-                }
-            };
+            let inproc_name = format!("inproc://fsmon-{run_id}-mdt{i}");
+            let (endpoint, collector) =
+                launch_collector(&ctx, fs, &config, &tracer, i, inproc_name, 0)?;
             collector_endpoints.push(endpoint);
-            let collector = match &cursors {
-                Some(cursors) => Collector::resume(
-                    fs.mdt(i),
-                    config.watch_root.clone(),
-                    config.cache_size,
-                    config.batch_size,
-                    Some(publisher),
-                    cursors.lock().get(i),
-                ),
-                None => Collector::new(
-                    fs.mdt(i),
-                    config.watch_root.clone(),
-                    config.cache_size,
-                    config.batch_size,
-                    Some(publisher),
-                ),
-            };
-            collectors.push(Arc::new(Mutex::new(
-                collector
-                    .with_retry(config.retry)
-                    .with_resolver_threads(config.resolver_threads)
-                    .with_tracer(tracer.clone()),
-            )));
+            collectors.push(Arc::new(Mutex::new(collector)));
         }
 
         // One consumer-facing endpoint per shard.
@@ -564,7 +553,6 @@ impl ScalableMonitor {
                     alive,
                     counters,
                     stop: stop.clone(),
-                    cursors: cursors.clone(),
                     faults: config.faults.clone(),
                 },
             );
@@ -602,11 +590,12 @@ impl ScalableMonitor {
         };
 
         // The supervisor: polls lane liveness and restarts whatever
-        // died. A restarted collector resumes from the durable cursor
-        // (or the surviving in-memory one) on a fresh endpoint, with a
-        // fresh changelog user — the dead incarnation's user is
-        // deregistered only after the new one is registered, so its
-        // watermark never stops pinning the unconsumed tail.
+        // died. A restarted collector resumes at the clear index the
+        // MDT holds for the dead incarnation's changelog user, on a
+        // fresh endpoint, with a fresh changelog user — the dead
+        // incarnation's user is deregistered only after the new one is
+        // registered, so its watermark never stops pinning the
+        // unconsumed tail.
         {
             let stop = stop.clone();
             let threads_sup = threads.clone();
@@ -614,7 +603,6 @@ impl ScalableMonitor {
             let collectors = collectors.clone();
             let alive = collector_alive.clone();
             let lane_counters = lane_counters.clone();
-            let cursors = cursors.clone();
             let fs = fs.clone();
             let ctx = ctx.clone();
             let restarts = collector_restarts.clone();
@@ -638,41 +626,24 @@ impl ScalableMonitor {
                             }
                             generation += 1;
                             let mdt = i as u16;
-                            let cursor = match &cursors {
-                                Some(cf) => cf.lock().get(mdt),
-                                None => collectors[i].lock().last_index(),
-                            };
-                            let publisher = ctx.publisher();
-                            let endpoint = match config.transport {
-                                Transport::Inproc => {
-                                    let ep =
-                                        format!("inproc://fsmon-{run_id}-mdt{i}-r{generation}");
-                                    if publisher.bind(&ep).is_err() {
-                                        continue;
-                                    }
-                                    ep
-                                }
-                                Transport::Tcp => {
-                                    if publisher.bind("tcp://127.0.0.1:0").is_err() {
-                                        continue;
-                                    }
-                                    format!("tcp://{}", publisher.local_addr().expect("tcp bound"))
-                                }
+                            let resume_at = collectors[i].lock().cleared_index();
+                            let inproc_name =
+                                format!("inproc://fsmon-{run_id}-mdt{i}-r{generation}");
+                            let Ok((endpoint, fresh)) = launch_collector(
+                                &ctx,
+                                &fs,
+                                &config,
+                                &tracer,
+                                mdt,
+                                inproc_name,
+                                resume_at,
+                            ) else {
+                                continue;
                             };
                             if aggregator.attach_collector(mdt, &endpoint).is_err() {
+                                fresh.shutdown();
                                 continue;
                             }
-                            let fresh = Collector::resume(
-                                fs.mdt(mdt),
-                                config.watch_root.clone(),
-                                config.cache_size,
-                                config.batch_size,
-                                Some(publisher),
-                                cursor,
-                            )
-                            .with_retry(config.retry)
-                            .with_resolver_threads(config.resolver_threads)
-                            .with_tracer(tracer.clone());
                             let dead = std::mem::replace(&mut *collectors[i].lock(), fresh);
                             dead.shutdown();
                             restarts.fetch_add(1, Ordering::Relaxed);
@@ -691,7 +662,6 @@ impl ScalableMonitor {
                                     alive: alive[i].clone(),
                                     counters: lane_counters[i].clone(),
                                     stop: stop.clone(),
-                                    cursors: cursors.clone(),
                                     faults: config.faults.clone(),
                                 },
                             );
@@ -1189,31 +1159,27 @@ mod tests {
     }
 
     #[test]
-    fn monitor_restart_resumes_from_persisted_cursors() {
-        let cursor_path =
-            std::env::temp_dir().join(format!("fsmon-monitor-cursors-{}", std::process::id()));
-        let _ = std::fs::remove_file(&cursor_path);
+    fn monitor_restart_resumes_at_the_mdt_clear_index() {
         let fs = LustreFs::new(LustreConfig::small_dne(2));
-        let config = || ScalableConfig {
-            cursor_file: Some(cursor_path.clone()),
-            ..ScalableConfig::default()
-        };
         let client = fs.client();
         // Incarnation 1 processes a first wave.
         {
-            let monitor = ScalableMonitor::start(&fs, config()).unwrap();
+            let monitor = ScalableMonitor::start(&fs, ScalableConfig::default()).unwrap();
             for i in 0..20 {
                 client.mkdir(&format!("/wave1-{i}")).unwrap();
             }
             assert!(monitor.wait_events(20, Duration::from_secs(5)));
-            monitor.stop(); // "crash" after cursors were flushed
+            // "Crash": what the collectors cleared survives only on
+            // the MDTs.
+            monitor.stop();
         }
         // A second wave lands while no monitor is running.
         for i in 0..10 {
             client.mkdir(&format!("/wave2-{i}")).unwrap();
         }
-        // Incarnation 2 resumes: exactly the second wave, no replays.
-        let monitor = ScalableMonitor::start(&fs, config()).unwrap();
+        // Incarnation 2 starts at each MDT's oldest retained record:
+        // exactly the second wave, no replays.
+        let monitor = ScalableMonitor::start(&fs, ScalableConfig::default()).unwrap();
         assert!(monitor.wait_events(10, Duration::from_secs(5)));
         let events = monitor.consumer().recv_batch(100, Duration::from_secs(2));
         assert_eq!(
@@ -1224,7 +1190,6 @@ mod tests {
         );
         assert!(events.iter().all(|e| e.path.starts_with("/wave2-")));
         monitor.stop();
-        std::fs::remove_file(&cursor_path).ok();
     }
 
     #[test]

@@ -147,6 +147,7 @@ impl ShardedAggregator {
             total.decode_errors += one.decode_errors;
             total.dedup_dropped += one.dedup_dropped;
             total.lane_restarts += one.lane_restarts;
+            total.store_abandoned += one.store_abandoned;
         }
         total
     }

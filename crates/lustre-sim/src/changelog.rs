@@ -200,17 +200,27 @@ impl Changelog {
         stats
     }
 
+    /// The index `user` has cleared up to: the last record it consumed,
+    /// kept by the MDT, so it outlives the process that cleared (0 for
+    /// an unknown user). A reader that resumes past it neither skips
+    /// nor re-reads a record.
+    pub fn cleared_index(&self, user: ChangelogUser) -> u64 {
+        Self::watermark(&self.lock(), user)
+    }
+
     /// Number of records currently pending for `user` (appended but not
     /// yet cleared by it).
     pub fn backlog(&self, user: ChangelogUser) -> u64 {
         let inner = self.lock();
-        let watermark = inner
+        (inner.next_index - 1).saturating_sub(Self::watermark(&inner, user))
+    }
+
+    fn watermark(inner: &Inner, user: ChangelogUser) -> u64 {
+        inner
             .users
             .iter()
             .find(|(u, _)| *u == user)
-            .map(|(_, w)| *w)
-            .unwrap_or(0);
-        (inner.next_index - 1).saturating_sub(watermark)
+            .map_or(0, |(_, w)| *w)
     }
 
     fn gc(inner: &mut Inner, capacity: usize) {
@@ -290,6 +300,10 @@ mod tests {
         assert_eq!(log.stats().retained, 5, "u2 still pins records");
         log.clear(u2, 3);
         assert_eq!(log.stats().retained, 2);
+        // Each user's clear index is its own, and a clear never moves
+        // it backwards.
+        log.clear(u1, 2);
+        assert_eq!((log.cleared_index(u1), log.cleared_index(u2)), (5, 3));
         log.clear(u2, 5);
         assert_eq!(log.stats().retained, 0);
     }

@@ -1137,6 +1137,12 @@ impl MdtHandle {
         self.changelog.backlog(user)
     }
 
+    /// The index `user` has cleared up to on this MDT (see
+    /// [`Changelog::cleared_index`]).
+    pub fn cleared_index(&self, user: crate::changelog::ChangelogUser) -> u64 {
+        self.changelog.cleared_index(user)
+    }
+
     /// Run `fid2path` on this MDS (identical to the client-side tool).
     pub fn fid2path(&self, fid: Fid) -> Result<String, FsError> {
         self.fs.fid2path(fid)

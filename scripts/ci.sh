@@ -16,6 +16,22 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> fsmon chaos: storm plan at 1 and 2 aggregator shards"
+# The verdict covers delivery; the store line covers what stop() leaves
+# behind: each shard store must end holding its whole dense id stream,
+# even when the live feed alone already delivered every event.
+for shards in 1 2; do
+    chaos_out="$(target/release/fsmon chaos --plan storm --seed 7 --mds 2 --seconds 2 \
+        --aggregator-shards "$shards" 2>&1)" || true
+    if ! grep -qxF 'verdict   : lost 0, duplicated 0 -> PASS' <<<"$chaos_out" ||
+        ! grep -qE '^store     : last_seq .* -> PASS$' <<<"$chaos_out"; then
+        echo "FAIL: fsmon chaos --plan storm --aggregator-shards ${shards}:"
+        printf '%s\n' "$chaos_out"
+        exit 1
+    fi
+    echo "    storm at ${shards} shard(s): verdict and store PASS"
+done
+
 echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP tests 50 runs, consumer conformance 20 runs)"
 # Tier-1 must be green every run, not most runs. Two spinner processes
 # take the cores away from the pipeline's threads at arbitrary points,

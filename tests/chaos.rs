@@ -44,11 +44,12 @@ fn drain_all(monitor: ScalableMonitor) -> Vec<u64> {
     ids
 }
 
-/// A supervised collector killed mid-stream resumes from the durable
-/// per-MDT cursor: nothing lost, nothing duplicated.
+/// A supervised collector killed mid-stream resumes at the clear index
+/// its MDT holds for the dead incarnation: nothing lost, nothing
+/// duplicated.
 #[test]
 fn killed_collector_resumes_from_cursor_exactly_once() {
-    kill_collector_and_resume(Transport::Inproc, "cursor");
+    kill_collector_and_resume(Transport::Inproc);
 }
 
 /// The same over TCP, where the supervisor re-attaches the aggregator
@@ -57,20 +58,27 @@ fn killed_collector_resumes_from_cursor_exactly_once() {
 /// subscriber and no step is held.
 #[test]
 fn killed_collector_over_tcp_reattaches_without_a_held_step() {
-    kill_collector_and_resume(Transport::Tcp, "cursor-tcp");
+    kill_collector_and_resume(Transport::Tcp);
 }
 
-fn kill_collector_and_resume(transport: Transport, tag: &str) {
-    let dir = tmpdir(tag);
+fn kill_collector_and_resume(transport: Transport) {
     let fs = LustreFs::new(LustreConfig::small());
     // The crash point is rolled once per productive collector step,
     // and 1200 records in batches of at most 16 are at least 75 of
     // them however the scheduler slices the stream: this seeded plan's
-    // first hit is roll 33, so the restart below always happens.
+    // first hit is roll 33, so the restart below always happens. The
+    // purge point is rolled once per productive step too, before the
+    // crash roll: clears 31–35 fail, so the MDT's clear index at that
+    // crash is behind what the step published, and the restart
+    // re-reads published records for the aggregator's dedup to drop.
     let faults = FaultPlan::new(23)
         .with(
             FaultPoint::CollectorCrash,
             FaultRule::per_10k(400).after(5).limit(5),
+        )
+        .with(
+            FaultPoint::ChangelogPurge,
+            FaultRule::per_10k(10_000).after(30).limit(5),
         )
         .arm();
     let monitor = ScalableMonitor::start(
@@ -79,7 +87,6 @@ fn kill_collector_and_resume(transport: Transport, tag: &str) {
             faults,
             transport,
             batch_size: 16,
-            cursor_file: Some(dir.join("cursors")),
             ..ScalableConfig::default()
         },
     )
@@ -105,6 +112,10 @@ fn kill_collector_and_resume(transport: Transport, tag: &str) {
     // The stats are those of the incarnation running now, which is a
     // re-attached one.
     assert_eq!(monitor.collector_stats()[0].held_steps, 0);
+    assert!(
+        monitor.aggregator_stats().dedup_dropped > 0,
+        "no restart re-read a published record"
+    );
     let recovery = monitor.consumer().recovery_stats();
     let mut ids = drain_all(monitor);
     let delivered = ids.len() as u64;
@@ -114,14 +125,15 @@ fn kill_collector_and_resume(transport: Transport, tag: &str) {
     assert_eq!(ids.len() as u64, n, "events lost");
     assert_eq!(*ids.last().unwrap(), n, "ids stay dense across restarts");
     assert_eq!(recovery.duplicates_dropped, 0, "dedup belongs upstream");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A whole monitor torn down and restarted over the same durable state
-/// (file store + per-MDT cursor file) continues the dense id stream
-/// with nothing lost and nothing duplicated: collectors resume from
-/// the persisted cursors and the sequencer resumes ids from the
-/// store's high-water mark instead of restarting at 1.
+/// (file store + the MDTs' changelogs) continues the dense id stream
+/// with nothing lost and nothing duplicated: collectors resume at each
+/// MDT's oldest retained record (the monitor is the only changelog
+/// reader, so that is one past what it cleared) and the sequencer
+/// resumes ids from the store's high-water mark instead of restarting
+/// at 1.
 #[test]
 fn whole_monitor_restart_resumes_exactly_once_from_durable_state() {
     let dir = tmpdir("restart");
@@ -130,7 +142,6 @@ fn whole_monitor_restart_resumes_exactly_once_from_durable_state() {
     let config = |store: Arc<FileStore>| ScalableConfig {
         batch_size: 32,
         store: Some(store),
-        cursor_file: Some(dir.join("cursors")),
         // Tracing rides along so the restart path is exercised with
         // trace parts on the wire in both incarnations.
         trace_sample_per_10k: 100,
@@ -149,7 +160,7 @@ fn whole_monitor_restart_resumes_exactly_once_from_durable_state() {
         monitor.aggregator_stats().received
     );
     // Quiesce and tear the whole monitor down — the process-equivalent
-    // crash point. Only the durable store and cursor file survive.
+    // crash point. Only the durable store and the changelogs survive.
     monitor.stop();
     assert_eq!(store.stats().last_seq, n1, "store missed events pre-crash");
 
@@ -183,44 +194,7 @@ fn whole_monitor_restart_resumes_exactly_once_from_durable_state() {
 /// history/store errors) without disturbing exactly-once delivery.
 #[test]
 fn storm_plan_with_tracing_delivers_exactly_once() {
-    let dir = tmpdir("storm-trace");
-    let faults = FaultPlan::named("storm", 11).unwrap().arm();
-    let store = FileStore::open_with(dir.join("store"), 64 * 1024, faults.clone()).unwrap();
-    let fs = LustreFs::new(LustreConfig::small_dne(2));
-    let monitor = ScalableMonitor::start(
-        &fs,
-        ScalableConfig {
-            faults,
-            batch_size: 64,
-            store: Some(Arc::new(store)),
-            cursor_file: Some(dir.join("cursors")),
-            trace_sample_per_10k: 100,
-            ..ScalableConfig::default()
-        },
-    )
-    .unwrap();
-    let client = fs.client();
-    let n = 1500u64;
-    for i in 0..n {
-        client.create(&format!("/storm-f{i}")).unwrap();
-        if i % 150 == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    assert!(
-        monitor.wait_events(n, Duration::from_secs(60)),
-        "only {} of {n} arrived (restarts: {})",
-        monitor.aggregator_stats().received,
-        monitor.supervisor_restarts()
-    );
-    let mut ids = drain_all(monitor);
-    let delivered = ids.len() as u64;
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(delivered, ids.len() as u64, "duplicates under storm");
-    assert_eq!(ids.len() as u64, n, "events lost under storm");
-    assert_eq!(*ids.last().unwrap(), n, "ids stay dense under storm");
-    std::fs::remove_dir_all(&dir).ok();
+    named_plan_delivers_exactly_once("storm", 11, 1500, 100);
 }
 
 /// The `basic` named plan — mq disconnects, store I/O errors, and
@@ -228,32 +202,40 @@ fn storm_plan_with_tracing_delivers_exactly_once() {
 /// end to end, across multiple MDTs.
 #[test]
 fn basic_fault_plan_delivers_exactly_once_across_mdts() {
-    let dir = tmpdir("basic");
-    let faults = FaultPlan::named("basic", 7).unwrap().arm();
-    let store = FileStore::open_with(dir.join("store"), 64 * 1024, faults.clone()).unwrap();
+    named_plan_delivers_exactly_once("basic", 7, 2000, 0);
+}
+
+/// `n` creates over two MDTs under a named fault plan (armed on the
+/// file store too) with `trace_per_10k` tracing: every event reaches
+/// the consumer exactly once with dense ids, and after `stop()` the
+/// store holds exactly ids `1..=n`, whatever the live feed delivered.
+fn named_plan_delivers_exactly_once(plan: &str, seed: u64, n: u64, trace_per_10k: u32) {
+    let dir = tmpdir(plan);
+    let faults = FaultPlan::named(plan, seed).unwrap().arm();
+    let store =
+        Arc::new(FileStore::open_with(dir.join("store"), 64 * 1024, faults.clone()).unwrap());
     let fs = LustreFs::new(LustreConfig::small_dne(2));
     let monitor = ScalableMonitor::start(
         &fs,
         ScalableConfig {
             faults,
             batch_size: 64,
-            store: Some(Arc::new(store)),
-            cursor_file: Some(dir.join("cursors")),
+            store: Some(store.clone()),
+            trace_sample_per_10k: trace_per_10k,
             ..ScalableConfig::default()
         },
     )
     .unwrap();
     let client = fs.client();
-    let n = 2000u64;
     for i in 0..n {
-        client.create(&format!("/chaos-f{i}")).unwrap();
-        if i % 200 == 0 {
+        client.create(&format!("/{plan}-f{i}")).unwrap();
+        if i % (n / 10) == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
     assert!(
         monitor.wait_events(n, Duration::from_secs(60)),
-        "only {} of {n} arrived (restarts: {})",
+        "{plan}: only {} of {n} arrived (restarts: {})",
         monitor.aggregator_stats().received,
         monitor.supervisor_restarts()
     );
@@ -261,9 +243,20 @@ fn basic_fault_plan_delivers_exactly_once_across_mdts() {
     let delivered = ids.len() as u64;
     ids.sort_unstable();
     ids.dedup();
-    let unique = ids.len() as u64;
-    assert_eq!(delivered, unique, "duplicates delivered to the consumer");
-    assert_eq!(unique, n, "events lost under the basic plan");
-    assert_eq!(*ids.last().unwrap(), n, "stamped ids stay dense");
+    assert_eq!(delivered, ids.len() as u64, "{plan}: duplicates delivered");
+    assert_eq!(ids.len() as u64, n, "{plan}: events lost");
+    assert_eq!(*ids.last().unwrap(), n, "{plan}: stamped ids stay dense");
+    let stored: Vec<u64> = store
+        .get_since(0, n as usize + 10)
+        .unwrap()
+        .iter()
+        .map(|e| e.id)
+        .collect();
+    assert!(
+        stored.iter().copied().eq(1..=n),
+        "{plan}: after stop() the store holds {} events, the last {:?}, not ids 1..={n}",
+        stored.len(),
+        stored.last()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
