@@ -112,6 +112,67 @@ pub struct StandardEvent {
     pub owner: Option<u32>,
 }
 
+/// The fields a filter or a fan-out reads from an event, borrowed. Both
+/// the owned [`StandardEvent`] and the frame-borrowed
+/// [`EventView`](crate::wire::EventView) implement it, so matching code
+/// runs unchanged on a decoded event or straight on the wire bytes.
+pub trait EventFields {
+    /// Sequence number (0 until stamped).
+    fn id(&self) -> EventId;
+    /// Standardized event type.
+    fn kind(&self) -> EventKind;
+    /// Whether the subject is a directory.
+    fn is_dir(&self) -> bool;
+    /// MDT whose changelog recorded the event, if any.
+    fn mdt_index(&self) -> Option<u16>;
+    /// Path relative to the watch root.
+    fn path(&self) -> &str;
+    /// Old path of a rename destination, if known.
+    fn old_path(&self) -> Option<&str>;
+}
+
+impl EventFields for StandardEvent {
+    fn id(&self) -> EventId {
+        self.id
+    }
+    fn kind(&self) -> EventKind {
+        self.kind
+    }
+    fn is_dir(&self) -> bool {
+        self.is_dir
+    }
+    fn mdt_index(&self) -> Option<u16> {
+        self.mdt_index
+    }
+    fn path(&self) -> &str {
+        &self.path
+    }
+    fn old_path(&self) -> Option<&str> {
+        self.old_path.as_deref()
+    }
+}
+
+impl<T: EventFields + ?Sized> EventFields for &T {
+    fn id(&self) -> EventId {
+        (**self).id()
+    }
+    fn kind(&self) -> EventKind {
+        (**self).kind()
+    }
+    fn is_dir(&self) -> bool {
+        (**self).is_dir()
+    }
+    fn mdt_index(&self) -> Option<u16> {
+        (**self).mdt_index()
+    }
+    fn path(&self) -> &str {
+        (**self).path()
+    }
+    fn old_path(&self) -> Option<&str> {
+        (**self).old_path()
+    }
+}
+
 impl StandardEvent {
     /// Create a minimal event; the remaining fields take neutral defaults
     /// and can be adjusted with the builder-style `with_*` methods.

@@ -38,7 +38,7 @@ pub mod wire;
 
 pub use changelog::{ChangelogKind, ChangelogMask, ChangelogRename};
 pub use coalesce::coalesce;
-pub use event::{EventId, MonitorSource, StandardEvent};
+pub use event::{EventFields, EventId, MonitorSource, StandardEvent};
 pub use format::EventFormatter;
 pub use fsevents::{FsEventFlags, FsEventsEvent};
 pub use fswatcher::{FswChangeType, FswEvent};
@@ -47,5 +47,5 @@ pub use kind::EventKind;
 pub use kqueue::{KqueueEvent, NoteFlags};
 pub use wire::{
     decode_event, decode_event_batch, encode_event, encode_event_batch, encode_event_batch_into,
-    encode_event_batch_offsets, patch_event_id, WireError,
+    encode_event_batch_offsets, patch_event_id, walk_event_batch, EventView, WireError,
 };

@@ -14,26 +14,25 @@
 //! batch   := u32 count | count * event
 //! ```
 //!
-//! The trailing metadata fields are flag-gated, so frames produced
-//! before the enrichment (flags without those bits) still decode — the
-//! fields come back `None` — and unenriched events pay zero bytes.
-//! Their introduction bumped the version byte to 2: a version-1
-//! decoder fails loudly on enriched frames ([`WireError::BadVersion`])
-//! instead of leaving trailing bytes unconsumed, while this decoder
-//! still accepts version-1 frames from older producers.
+//! The trailing metadata fields are flag-gated, so unenriched events
+//! pay zero bytes for them. Their introduction bumped the version byte
+//! to 2, and only version 2 is accepted ([`WireError::BadVersion`]
+//! otherwise).
+//!
+//! A collector's frame is the only encoding an event gets between the
+//! collector and the store. [`walk_event_batch`] validates a batch in
+//! place and yields each record's byte range plus a borrowed
+//! [`EventView`]; the aggregator trims, stamps, matches and stores those
+//! bytes without building a [`StandardEvent`]. [`decode_event_from`] is
+//! the same parser followed by [`EventView::to_event`].
 
-use crate::event::{MonitorSource, StandardEvent};
+use crate::event::{EventFields, MonitorSource, StandardEvent};
 use crate::kind::EventKind;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Current codec version byte. Version 2 added the flag-gated
-/// size/owner metadata tail; see [`MIN_WIRE_VERSION`].
+/// Codec version byte, the only one the decoder accepts. Version 2
+/// added the flag-gated size/owner metadata tail.
 pub const WIRE_VERSION: u8 = 2;
-
-/// Oldest version this decoder still accepts. Version-1 frames never
-/// carry the metadata flag bits, so the flag-gated tail reads are
-/// vacuous for them.
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 const FLAG_IS_DIR: u8 = 0b0000_0001;
 const FLAG_HAS_SIZE: u8 = 0b0000_0010;
@@ -82,26 +81,6 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let len = buf.get_u32();
-    if len > MAX_STR {
-        return Err(WireError::LengthOverflow(len as u64));
-    }
-    if buf.remaining() < len as usize {
-        return Err(WireError::Truncated);
-    }
-    // Decode straight from the frame slice: one copy into the String,
-    // instead of split_to + to_vec copying the payload twice.
-    let s = std::str::from_utf8(&buf.chunk()[..len as usize])
-        .map_err(|_| WireError::BadUtf8)?
-        .to_string();
-    buf.advance(len as usize);
-    Ok(s)
-}
-
 /// Serialize one event into `buf`.
 pub fn encode_event_into(ev: &StandardEvent, buf: &mut BytesMut) {
     buf.put_u8(WIRE_VERSION);
@@ -146,67 +125,184 @@ pub fn encode_event(ev: &StandardEvent) -> Bytes {
     buf.freeze()
 }
 
+/// Fixed-width record header: version(1) id(8) kind(1) flags(1)
+/// source(1) mdt(2) cookie(4) timestamp(8).
+const FIXED_HEADER: usize = 26;
+
+/// One encoded event record, borrowed from its frame and fully
+/// validated: every field of a [`StandardEvent`], with the strings
+/// pointing into the frame. Parsing allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventView<'a> {
+    /// Sequence number as encoded (0 until the sequencer stamps it).
+    pub id: u64,
+    /// Standardized event type.
+    pub kind: EventKind,
+    /// Whether the subject is a directory.
+    pub is_dir: bool,
+    /// Watch root.
+    pub watch_root: &'a str,
+    /// Path relative to the watch root.
+    pub path: &'a str,
+    /// Old path of a rename destination.
+    pub old_path: Option<&'a str>,
+    /// Rename cookie.
+    pub cookie: u32,
+    /// Event time in nanoseconds.
+    pub timestamp_ns: u64,
+    /// Producing facility.
+    pub source: MonitorSource,
+    /// MDT index, if any.
+    pub mdt_index: Option<u16>,
+    /// Subject size, when enriched.
+    pub size: Option<u64>,
+    /// Subject owner uid, when enriched.
+    pub owner: Option<u32>,
+}
+
+/// A bounds-checked big-endian reader over a borrowed slice.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let bytes = self
+            .buf
+            .get(self.pos..self.pos + n)
+            .ok_or(WireError::Truncated)?;
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take(N) is N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    fn str(&mut self) -> Result<&'a str, WireError> {
+        let len = self.u32()?;
+        if len > MAX_STR {
+            return Err(WireError::LengthOverflow(len as u64));
+        }
+        std::str::from_utf8(self.take(len as usize)?).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+impl<'a> EventView<'a> {
+    /// Parse the record at the front of `buf`. Returns the view and the
+    /// record's encoded length; bytes past it are left unread.
+    pub fn parse(buf: &'a [u8]) -> Result<(EventView<'a>, usize), WireError> {
+        if buf.len() < FIXED_HEADER {
+            return Err(WireError::Truncated);
+        }
+        let mut r = Reader { buf, pos: 0 };
+        let version = r.u8()?;
+        if version != WIRE_VERSION {
+            return Err(WireError::BadVersion(version));
+        }
+        let id = r.u64()?;
+        let kind_tag = r.u8()?;
+        let kind = EventKind::from_wire_tag(kind_tag).ok_or(WireError::BadKind(kind_tag))?;
+        let flags = r.u8()?;
+        let source_tag = r.u8()?;
+        let source =
+            MonitorSource::from_wire_tag(source_tag).ok_or(WireError::BadSource(source_tag))?;
+        let mdt = r.u16()?;
+        let cookie = r.u32()?;
+        let timestamp_ns = r.u64()?;
+        let watch_root = r.str()?;
+        let path = r.str()?;
+        let old_path = if r.u8()? != 0 { Some(r.str()?) } else { None };
+        let size = if flags & FLAG_HAS_SIZE != 0 {
+            Some(r.u64()?)
+        } else {
+            None
+        };
+        let owner = if flags & FLAG_HAS_OWNER != 0 {
+            Some(r.u32()?)
+        } else {
+            None
+        };
+        let view = EventView {
+            id,
+            kind,
+            is_dir: flags & FLAG_IS_DIR != 0,
+            watch_root,
+            path,
+            old_path,
+            cookie,
+            timestamp_ns,
+            source,
+            mdt_index: if mdt == u16::MAX { None } else { Some(mdt) },
+            size,
+            owner,
+        };
+        Ok((view, r.pos))
+    }
+
+    /// The owned event this record encodes.
+    pub fn to_event(&self) -> StandardEvent {
+        StandardEvent {
+            id: self.id,
+            kind: self.kind,
+            is_dir: self.is_dir,
+            watch_root: self.watch_root.to_string(),
+            path: self.path.to_string(),
+            old_path: self.old_path.map(str::to_string),
+            cookie: self.cookie,
+            timestamp_ns: self.timestamp_ns,
+            source: self.source,
+            mdt_index: self.mdt_index,
+            size: self.size,
+            owner: self.owner,
+        }
+    }
+}
+
+impl EventFields for EventView<'_> {
+    fn id(&self) -> u64 {
+        self.id
+    }
+    fn kind(&self) -> EventKind {
+        self.kind
+    }
+    fn is_dir(&self) -> bool {
+        self.is_dir
+    }
+    fn mdt_index(&self) -> Option<u16> {
+        self.mdt_index
+    }
+    fn path(&self) -> &str {
+        self.path
+    }
+    fn old_path(&self) -> Option<&str> {
+        self.old_path
+    }
+}
+
 /// Decode one event, consuming its bytes from `buf`.
 pub fn decode_event_from(buf: &mut Bytes) -> Result<StandardEvent, WireError> {
-    // Fixed-width header: version(1) id(8) kind(1) flags(1) source(1)
-    // mdt(2) cookie(4) timestamp(8) = 26 bytes.
-    if buf.remaining() < 26 {
-        return Err(WireError::Truncated);
-    }
-    let version = buf.get_u8();
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::BadVersion(version));
-    }
-    let id = buf.get_u64();
-    let kind_tag = buf.get_u8();
-    let kind = EventKind::from_wire_tag(kind_tag).ok_or(WireError::BadKind(kind_tag))?;
-    let flags = buf.get_u8();
-    let source_tag = buf.get_u8();
-    let source =
-        MonitorSource::from_wire_tag(source_tag).ok_or(WireError::BadSource(source_tag))?;
-    let mdt = buf.get_u16();
-    let cookie = buf.get_u32();
-    let timestamp_ns = buf.get_u64();
-    let watch_root = get_str(buf)?;
-    let path = get_str(buf)?;
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    let old_path = if buf.get_u8() != 0 {
-        Some(get_str(buf)?)
-    } else {
-        None
-    };
-    let size = if flags & FLAG_HAS_SIZE != 0 {
-        if buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        Some(buf.get_u64())
-    } else {
-        None
-    };
-    let owner = if flags & FLAG_HAS_OWNER != 0 {
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        Some(buf.get_u32())
-    } else {
-        None
-    };
-    Ok(StandardEvent {
-        id,
-        kind,
-        is_dir: flags & FLAG_IS_DIR != 0,
-        watch_root,
-        path,
-        old_path,
-        cookie,
-        timestamp_ns,
-        source,
-        mdt_index: if mdt == u16::MAX { None } else { Some(mdt) },
-        size,
-        owner,
-    })
+    let (view, len) = EventView::parse(buf.as_slice())?;
+    let event = view.to_event();
+    buf.advance(len);
+    Ok(event)
 }
 
 /// Decode one standalone event frame.
@@ -256,6 +352,26 @@ pub fn encode_event_batch_offsets(
         id_offsets.push(buf.len() + EVENT_ID_OFFSET);
         encode_event_into(ev, buf);
     }
+}
+
+/// The byte range of each record of a batch frame of `frame_len`
+/// bytes, from the id offsets [`encode_event_batch_offsets`] recorded:
+/// record `i` runs from its own start to the next record's start, the
+/// last one to the end of the frame (so the frame must hold no bytes
+/// past its last record).
+pub fn record_spans(
+    id_offsets: &[usize],
+    frame_len: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let ends = id_offsets
+        .iter()
+        .skip(1)
+        .map(|next| next - EVENT_ID_OFFSET)
+        .chain(std::iter::once(frame_len));
+    id_offsets
+        .iter()
+        .zip(ends)
+        .map(|(off, end)| off - EVENT_ID_OFFSET..end)
 }
 
 /// Overwrite the big-endian `id` field at `id_offset` (as recorded by
@@ -314,19 +430,74 @@ pub fn find_tlv(frame: &[u8], tag: u8) -> Result<Option<&[u8]>, WireError> {
     Ok(None)
 }
 
-/// Decode a batch frame.
-pub fn decode_event_batch(frame: &Bytes) -> Result<Vec<StandardEvent>, WireError> {
-    let mut buf = frame.clone();
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
+/// An allocation-free pass over a batch frame: yields, in order, each
+/// record's byte range within the frame and its [`EventView`]. The walk
+/// stops after the first invalid record (yielding its error) or after
+/// `count` records; bytes past the last record are never read.
+pub struct BatchWalk<'a> {
+    frame: &'a [u8],
+    pos: usize,
+    left: u32,
+}
+
+impl BatchWalk<'_> {
+    /// Records not yet yielded.
+    pub fn remaining(&self) -> usize {
+        self.left as usize
     }
-    let count = buf.get_u32();
+}
+
+impl<'a> Iterator for BatchWalk<'a> {
+    type Item = Result<(std::ops::Range<usize>, EventView<'a>), WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        match EventView::parse(&self.frame[self.pos..]) {
+            Ok((view, len)) => {
+                let range = self.pos..self.pos + len;
+                self.pos += len;
+                self.left -= 1;
+                Some(Ok((range, view)))
+            }
+            Err(e) => {
+                self.left = 0;
+                Some(Err(e))
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.left as usize))
+    }
+}
+
+/// Start walking a batch frame (`u32 count | count * event`). Fails on
+/// a short or over-long count; each record is validated as it is
+/// walked. A frame whose walk yields no error is exactly one that
+/// [`decode_event_batch`] accepts.
+pub fn walk_event_batch(frame: &[u8]) -> Result<BatchWalk<'_>, WireError> {
+    let count = frame
+        .get(..4)
+        .ok_or(WireError::Truncated)
+        .map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))?;
     if count > MAX_BATCH {
         return Err(WireError::LengthOverflow(count as u64));
     }
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        out.push(decode_event_from(&mut buf)?);
+    Ok(BatchWalk {
+        frame,
+        pos: 4,
+        left: count,
+    })
+}
+
+/// Decode a batch frame.
+pub fn decode_event_batch(frame: &Bytes) -> Result<Vec<StandardEvent>, WireError> {
+    let walk = walk_event_batch(frame)?;
+    let mut out = Vec::with_capacity(walk.remaining());
+    for record in walk {
+        out.push(record?.1.to_event());
     }
     Ok(out)
 }
@@ -384,16 +555,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_enrichment_frame_decodes_with_no_metadata() {
-        // What an older producer emits: a version-1 frame whose flags
-        // carry no HAS_SIZE/HAS_OWNER bits. It decodes cleanly to
-        // `None` metadata.
+    fn version_one_frame_is_rejected() {
+        // Version 1 predates the metadata tail; nothing produces it any
+        // more and the decoder accepts only the current version.
         let mut raw = encode_event(&sample()).to_vec();
-        raw[0] = MIN_WIRE_VERSION;
-        let d = decode_event(&Bytes::from(raw)).unwrap();
-        assert_eq!(d, sample());
-        assert_eq!(d.size, None);
-        assert_eq!(d.owner, None);
+        raw[0] = 1;
+        assert_eq!(
+            decode_event(&Bytes::from(raw.clone())),
+            Err(WireError::BadVersion(1))
+        );
+        let mut batch = 1u32.to_be_bytes().to_vec();
+        batch.extend_from_slice(&raw);
+        let walked: Vec<_> = walk_event_batch(&batch).unwrap().collect();
+        assert_eq!(walked, vec![Err(WireError::BadVersion(1))]);
     }
 
     #[test]

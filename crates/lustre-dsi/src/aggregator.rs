@@ -11,8 +11,9 @@
 //! # Sharded publish fan-out
 //!
 //! The publish side is a short pipeline rather than one thread, so that
-//! decode + dedup + encode (the CPU work) scales across cores while the
-//! consumer-visible stream keeps its ordering contract:
+//! validating and trimming each collector frame (the per-record work)
+//! scales across cores while the consumer-visible stream keeps its
+//! ordering contract:
 //!
 //! ```text
 //! SUB queue → demux ─┬→ worker lane 0 ─┬→ sequencer → PUB + store lane
@@ -24,19 +25,24 @@
 //!   hash, so one collector's batches always take the same lane and
 //!   stay in arrival order (and each topic's dedup highwater is only
 //!   ever touched from one lane at a time).
-//! * **Worker lanes** decode, drop replayed changelog ranges, and
-//!   pre-encode the surviving events into a reusable frame buffer,
-//!   recording the byte offset of each event's id field.
+//! * **Worker lanes** walk the collector's frame without decoding it
+//!   ([`walk_event_batch`] validates each record in place), drop
+//!   replayed changelog ranges on record boundaries, and copy the kept
+//!   records into a recycled frame buffer, recording the byte offset of
+//!   each record's id field. The collector's encoding is the only one
+//!   an event gets between collector and store.
 //! * The single **sequencer** assigns dense global ids, patches them
-//!   into the pre-encoded frame in place, and publishes. Because one
+//!   into that frame in place, matches fan-out classes on borrowed
+//!   views of its records, and publishes. Because one
 //!   stage both stamps and sends, publish order *is* id order — the
 //!   invariant consumers rely on to detect duplicates and gaps — no
 //!   matter how many lanes run upstream.
-//! * The **store lane** group-commits: it drains every batch queued at
-//!   wakeup and hands the store one [`append_batch`] call, so
-//!   persistence cannot stall publication and the store amortizes its
-//!   per-append overhead. The sequencer forwards events in stamp
-//!   order, so store sequence numbers coincide with the stamps.
+//! * The **store lane** group-commits: it drains every stamped frame
+//!   queued at wakeup and hands the store their records in one
+//!   [`append_encoded`] call, so persistence cannot stall publication
+//!   and the store amortizes its per-append overhead. The sequencer
+//!   forwards frames in stamp order, so store sequence numbers coincide
+//!   with the stamps.
 //!
 //! Every stage is restartable: each runs until stopped or until an
 //! injected crash kills it at a loop boundary, and
@@ -47,12 +53,14 @@
 //! index range, and the worker lanes drop ranges already stamped — the
 //! at-least-once upstream becomes exactly-once downstream.
 //!
-//! [`append_batch`]: fsmon_store::EventStore::append_batch
+//! [`append_encoded`]: fsmon_store::EventStore::append_encoded
 
-use bytes::BytesMut;
+use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use fsmon_events::wire::{encode_tlv, find_tlv, TLV_TRACE};
-use fsmon_events::{decode_event_batch, encode_event_batch_offsets, patch_event_id, StandardEvent};
+use fsmon_events::wire::{
+    encode_tlv, find_tlv, record_spans, BatchWalk, EVENT_ID_OFFSET, TLV_TRACE,
+};
+use fsmon_events::{patch_event_id, walk_event_batch, WireError};
 use fsmon_faults::{FaultPoint, Faults, Retry};
 use fsmon_mq::{Context, Message, PubSocket, SubSocket};
 use fsmon_store::EventStore;
@@ -117,16 +125,34 @@ struct Shared {
     highwater: Mutex<HashMap<Vec<u8>, u64>>,
 }
 
-/// A batch a worker lane prepared for the sequencer: events decoded and
-/// deduplicated, wire frame already encoded except for the ids, whose
-/// byte offsets are recorded so the sequencer can stamp in place.
+/// A batch a worker lane prepared for the sequencer: the collector's
+/// records that survived dedup, copied behind a fresh count into a
+/// recycled buffer, with the byte offset of each record's id field so
+/// the sequencer can stamp in place.
 struct PreparedBatch {
     buf: BytesMut,
     id_offsets: Vec<usize>,
-    events: Vec<StandardEvent>,
     /// Sampled trace records riding with the batch, positions already
     /// remapped past any dedup trim.
     traces: Vec<TraceRecord>,
+}
+
+/// A batch the sequencer stamped, on its way to the store lane: the
+/// published frame (shared with the consumers, not copied) and the id
+/// offsets that delimit its records.
+struct StampedBatch {
+    frame: Bytes,
+    id_offsets: Vec<usize>,
+    traces: Vec<TraceRecord>,
+}
+
+impl StampedBatch {
+    /// The encoded records, in stamp order: record `i` runs from its id
+    /// field's record start to the next record's start (or the frame's
+    /// end — a prepared frame carries no trailing bytes).
+    fn records(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        record_spans(&self.id_offsets, self.frame.len()).map(|span| &self.frame[span])
+    }
 }
 
 /// Everything a lane thread needs; shared so lanes can be respawned.
@@ -143,8 +169,8 @@ struct LaneCtx {
     /// allocating one per published frame.
     recycle_tx: Sender<BytesMut>,
     recycle_rx: Receiver<BytesMut>,
-    store_tx: Sender<(Vec<StandardEvent>, Vec<TraceRecord>)>,
-    store_rx: Receiver<(Vec<StandardEvent>, Vec<TraceRecord>)>,
+    store_tx: Sender<StampedBatch>,
+    store_rx: Receiver<StampedBatch>,
     store: Arc<dyn EventStore>,
     shared: Arc<Shared>,
     faults: Faults,
@@ -350,10 +376,9 @@ impl Aggregator {
         }
         let (seq_tx, seq_rx): (Sender<PreparedBatch>, Receiver<PreparedBatch>) = bounded(1 << 12);
         let (recycle_tx, recycle_rx): (Sender<BytesMut>, Receiver<BytesMut>) = bounded(4 * lanes);
-        // The store lane: the sequencer forwards every stamped event
+        // The store lane: the sequencer forwards every stamped frame
         // here so persistence cannot stall publication.
-        type StoreItem = (Vec<StandardEvent>, Vec<TraceRecord>);
-        let (store_tx, store_rx): (Sender<StoreItem>, Receiver<StoreItem>) = bounded(1 << 14);
+        let (store_tx, store_rx): (Sender<StampedBatch>, Receiver<StampedBatch>) = bounded(1 << 14);
         let lane = Arc::new(LaneCtx {
             sub,
             publisher,
@@ -711,8 +736,10 @@ fn ingest_fleet_snapshot(lane: &LaneCtx, msg: &Message) {
     }
 }
 
-/// A worker lane: decode, dedup against the topic's changelog
-/// highwater, and pre-encode the survivors for the sequencer.
+/// A worker lane: walk each collector frame, drop the records already
+/// stamped (dedup against the topic's changelog highwater), and copy
+/// the survivors' bytes into a recycled frame buffer for the sequencer.
+/// No event is decoded into an owned value here.
 fn run_worker_lane(lane: Arc<LaneCtx>, slot: usize) {
     let shared = &lane.shared;
     while !shared.stop.load(Ordering::Relaxed) {
@@ -727,103 +754,147 @@ fn run_worker_lane(lane: Arc<LaneCtx>, slot: usize) {
             Ok(msg) => msg,
             Err(_) => continue,
         };
-        // Zero-copy payload: a refcounted handle into the frame's
-        // storage, not a fresh allocation per batch.
-        let Some(payload) = msg.part_bytes(1) else {
-            shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-            lane.t_decode_errors.inc();
-            continue;
-        };
-        let mut events = match decode_event_batch(&payload) {
-            Ok(events) => events,
-            Err(_) => {
-                shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                lane.t_decode_errors.inc();
-                continue;
-            }
-        };
-        // Sampled traces ride as a fourth frame (TLV-framed); untraced
-        // batches have no part 3 and pay nothing here. Stamp the ingest
-        // stage on arrival.
-        let mut traces: Vec<TraceRecord> = msg
-            .part(3)
-            .and_then(|frame| find_tlv(frame, TLV_TRACE).ok().flatten())
-            .and_then(TraceRecord::decode_all)
-            .unwrap_or_default();
-        if !traces.is_empty() && lane.tracer.enabled() {
-            let ingest_ns = lane.tracer.now_ns();
-            for rec in &mut traces {
-                rec.stamp(TraceStage::Ingest, ingest_ns);
-            }
-        }
-        // Dedup by changelog index (frame 2, when present): a restarted
-        // collector resumes at the MDT's clear index, which a failed
-        // clear leaves behind what it published, so events at or below
-        // this topic's highwater were already stamped and forwarded by
-        // a previous incarnation. A whole batch below the
-        // highwater is dropped outright; a straddling batch (the
-        // restart read more records than the crashed incarnation's
-        // final publish) is trimmed to the unseen suffix using the
-        // per-event indices.
-        if let Some(range) = decode_range(msg.part(2)) {
-            let mut hw = shared.highwater.lock();
-            let entry = hw.entry(msg.topic().to_vec()).or_insert(0);
-            let before = events.len();
-            if range.last <= *entry {
-                events.clear();
-                traces.clear();
-            } else if range.first <= *entry {
-                if let Some(indices) = range.indices.filter(|idx| idx.len() == before) {
-                    let hw_val = *entry;
-                    let mut it = indices.iter();
-                    let mut kept: Vec<u32> = Vec::with_capacity(before);
-                    let mut pos = 0u32;
-                    events.retain(|_| {
-                        let keep = *it.next().expect("len checked") > hw_val;
-                        if keep {
-                            kept.push(pos);
-                        }
-                        pos += 1;
-                        keep
-                    });
-                    // Trace records index their batch by position, so a
-                    // trim must drop trimmed traces and remap survivors.
-                    trace::retain_traces(&mut traces, &kept);
+        let mut buf = lane.recycle_rx.try_recv().unwrap_or_default();
+        let mut id_offsets = Vec::new();
+        let traces = match prepare(&lane, &msg, &mut buf, &mut id_offsets) {
+            Ok(Some(traces)) => traces,
+            outcome => {
+                if outcome.is_err() {
+                    shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    lane.t_decode_errors.inc();
                 }
-                // Without per-event indices the whole straddling batch
-                // is accepted: at-least-once favors no-loss, and the
-                // consumer's id-based dedup has no gap to misread.
-            }
-            *entry = (*entry).max(range.last);
-            let dropped = (before - events.len()) as u64;
-            if dropped > 0 {
-                shared.dedup_dropped.fetch_add(dropped, Ordering::Relaxed);
-                lane.t_dedup_dropped.add(dropped);
-            }
-            if events.is_empty() {
+                buf.clear();
+                let _ = lane.recycle_tx.try_send(buf);
                 continue;
             }
-        }
-        let n = events.len() as u64;
+        };
+        let n = id_offsets.len() as u64;
         shared.received.fetch_add(n, Ordering::Relaxed);
         lane.t_received.add(n);
-        // Pre-encode the frame now, on the concurrent side of the
-        // pipeline; the sequencer only patches ids into place.
-        let mut buf = lane.recycle_rx.try_recv().unwrap_or_default();
-        let mut id_offsets = Vec::with_capacity(events.len());
-        encode_event_batch_offsets(&events, &mut buf, &mut id_offsets);
         send_or_stop(
             &lane.seq_tx,
             shared,
             PreparedBatch {
                 buf,
                 id_offsets,
-                events,
                 traces,
             },
         );
     }
     lane.shared.worker_alive[slot].store(false, Ordering::Relaxed);
+}
+
+/// Walk one collector frame into `buf` / `id_offsets` (see
+/// [`copy_records`]), trimmed of what the topic's highwater says was
+/// already stamped. Returns the batch's surviving trace records, `None`
+/// when dedup left nothing to forward, or the error of a malformed
+/// frame (which leaves the highwater untouched).
+fn prepare(
+    lane: &LaneCtx,
+    msg: &Message,
+    buf: &mut BytesMut,
+    id_offsets: &mut Vec<usize>,
+) -> Result<Option<Vec<TraceRecord>>, WireError> {
+    let shared = &lane.shared;
+    let payload = msg.part(1).ok_or(WireError::Truncated)?;
+    let walk = walk_event_batch(payload)?;
+    let count = walk.remaining();
+    // Dedup by changelog index (frame 2, when present): a restarted
+    // collector resumes at the MDT's clear index, which a failed clear
+    // leaves behind what it published, so records at or below this
+    // topic's highwater were already stamped and forwarded by a
+    // previous incarnation. A whole batch below the highwater is
+    // dropped outright; a straddling batch (the restart read more
+    // records than the crashed incarnation's final publish) is trimmed
+    // to the unseen suffix using the per-event indices. Without them
+    // the whole straddling batch is accepted: at-least-once favors
+    // no-loss, and the consumer's id-based dedup has no gap to misread.
+    // Topic-hash routing pins the topic to this lane, so the highwater
+    // read here is still current when it is raised below.
+    let range = decode_range(msg.part(2));
+    let seen = range.as_ref().map_or(0, |_| {
+        shared
+            .highwater
+            .lock()
+            .get(msg.topic())
+            .copied()
+            .unwrap_or(0)
+    });
+    let keep = |i: usize| match &range {
+        None => true,
+        Some(r) if r.last <= seen => false,
+        Some(r) if r.first <= seen => r.index(i, count).is_none_or(|idx| idx > seen),
+        Some(_) => true,
+    };
+    let walked = copy_records(walk, payload, keep, buf, id_offsets)?;
+    let kept = id_offsets.len();
+    // Sampled traces ride as a fourth frame (TLV-framed); untraced
+    // batches have no part 3 and pay nothing here. Stamp the ingest
+    // stage on arrival.
+    let mut traces: Vec<TraceRecord> = msg
+        .part(3)
+        .and_then(|frame| find_tlv(frame, TLV_TRACE).ok().flatten())
+        .and_then(TraceRecord::decode_all)
+        .unwrap_or_default();
+    if !traces.is_empty() && lane.tracer.enabled() {
+        let ingest_ns = lane.tracer.now_ns();
+        for rec in &mut traces {
+            rec.stamp(TraceStage::Ingest, ingest_ns);
+        }
+    }
+    let Some(last) = range.as_ref().map(|r| r.last) else {
+        return Ok(Some(traces));
+    };
+    {
+        let mut hw = shared.highwater.lock();
+        match hw.get_mut(msg.topic()) {
+            Some(entry) => *entry = (*entry).max(last),
+            None => {
+                hw.insert(msg.topic().to_vec(), last);
+            }
+        }
+    }
+    let dropped = (walked - kept) as u64;
+    if dropped > 0 {
+        shared.dedup_dropped.fetch_add(dropped, Ordering::Relaxed);
+        lane.t_dedup_dropped.add(dropped);
+        if !traces.is_empty() {
+            // Trace records index their batch by position, so a trim
+            // must drop trimmed traces and remap survivors.
+            let positions: Vec<u32> = (0..walked).filter(|&i| keep(i)).map(|i| i as u32).collect();
+            trace::retain_traces(&mut traces, &positions);
+        }
+    }
+    Ok((kept > 0).then_some(traces))
+}
+
+/// Validate every record of `walk` (over `payload`) and copy the count
+/// plus the records `keep` admits into `buf`, recording each copied
+/// record's id offset. Bytes past the last record are never copied.
+/// Returns how many records the frame holds.
+fn copy_records(
+    walk: BatchWalk<'_>,
+    payload: &[u8],
+    keep: impl Fn(usize) -> bool,
+    buf: &mut BytesMut,
+    id_offsets: &mut Vec<usize>,
+) -> Result<usize, WireError> {
+    buf.clear();
+    buf.reserve(payload.len());
+    buf.put_u32(0);
+    id_offsets.clear();
+    id_offsets.reserve(walk.remaining());
+    let mut walked = 0;
+    for record in walk {
+        let (range, _) = record?;
+        if keep(walked) {
+            id_offsets.push(buf.len() + EVENT_ID_OFFSET);
+            buf.extend_from_slice(&payload[range]);
+        }
+        walked += 1;
+    }
+    buf[..4].copy_from_slice(&(id_offsets.len() as u32).to_be_bytes());
+    Ok(walked)
 }
 
 /// The sequencer: the single stage that assigns ids. Ids are stamped
@@ -853,23 +924,24 @@ fn run_sequencer(lane: Arc<LaneCtx>) {
             Ok(batch) => batch,
             Err(_) => continue,
         };
-        for (ev, off) in batch.events.iter_mut().zip(&batch.id_offsets) {
-            let id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-            ev.id = id;
+        let n = batch.id_offsets.len() as u64;
+        // One sequencer stamps at a time, so the batch's ids are the
+        // dense run after the counter.
+        let first_id = shared.next_id.fetch_add(n, Ordering::Relaxed) + 1;
+        for (id, off) in (first_id..).zip(&batch.id_offsets) {
             patch_event_id(&mut batch.buf, *off, id);
         }
-        let n = batch.events.len() as u64;
         let frame = batch.buf.split_frozen();
-        fanout.fan_out(&batch.events, &batch.id_offsets, &frame);
-        let mut parts = vec![bytes::Bytes::from_static(b"events"), frame];
+        fanout.fan_out_frame(&frame, &batch.id_offsets);
+        let mut parts = vec![Bytes::from_static(b"events"), frame.clone()];
         if !batch.traces.is_empty() {
             // The sequencer is the stage that learns each event's global
             // id — copy it into the trace and stamp the sequence stage,
             // then re-attach the traces for the consumer hop.
             let seq_ns = lane.tracer.now_ns();
             for rec in &mut batch.traces {
-                if let Some(ev) = batch.events.get(rec.pos as usize) {
-                    rec.event_id = ev.id;
+                if u64::from(rec.pos) < n {
+                    rec.event_id = first_id + u64::from(rec.pos);
                 }
                 if lane.tracer.enabled() {
                     rec.stamp(TraceStage::Sequence, seq_ns);
@@ -890,7 +962,12 @@ fn run_sequencer(lane: Arc<LaneCtx>) {
         // Hand the (cleared, capacity-retaining) buffer back to the
         // workers; if the pool is full it's simply dropped.
         let _ = lane.recycle_tx.try_send(batch.buf);
-        if !send_or_stop(&lane.store_tx, shared, (batch.events, batch.traces)) {
+        let stamped = StampedBatch {
+            frame,
+            id_offsets: batch.id_offsets,
+            traces: batch.traces,
+        };
+        if !send_or_stop(&lane.store_tx, shared, stamped) {
             abandon(&lane, n);
         }
     }
@@ -936,35 +1013,36 @@ fn run_store_lane(lane: Arc<LaneCtx>) {
 /// the aggregator is stopping, the rest of the group is counted as
 /// abandoned, and until an append succeeds again every later group
 /// gets one attempt.
-fn store_group(
-    lane: &LaneCtx,
-    (first, first_traces): (Vec<StandardEvent>, Vec<TraceRecord>),
-    streak: &mut Option<fsmon_faults::Backoff>,
-) {
+fn store_group(lane: &LaneCtx, first: StampedBatch, streak: &mut Option<fsmon_faults::Backoff>) {
     let shared = &lane.shared;
-    // Group commit: fold everything already queued into one
-    // append_batch call so the store amortizes per-append locking and
-    // the lag drains in large strides.
-    let mut group = first;
-    let mut traces = first_traces;
-    while group.len() < lane.store_group_max {
+    // Group commit: fold everything already queued into one append so
+    // the store amortizes per-append locking and the lag drains in
+    // large strides.
+    let mut total = first.id_offsets.len();
+    let mut group = vec![first];
+    while total < lane.store_group_max {
         match lane.store_rx.try_recv() {
-            Ok((more, more_traces)) => {
-                group.extend(more);
-                traces.extend(more_traces);
+            Ok(more) => {
+                total += more.id_offsets.len();
+                group.push(more);
             }
             Err(_) => break,
         }
     }
     let mut offset = 0;
-    while offset < group.len() {
+    while offset < total {
         // One durable commit covers at most store_group_max events: a
         // batch larger than the cap (the sequencer publishes in its own
         // strides) is split so the cap really bounds the commit, not
         // just the folding.
-        let end = (offset + lane.store_group_max).min(group.len());
+        let end = (offset + lane.store_group_max).min(total);
         let before = lane.store.stats().appended;
-        match lane.store.append_batch(&group[offset..end]) {
+        let mut records = group
+            .iter()
+            .flat_map(StampedBatch::records)
+            .skip(offset)
+            .take(end - offset);
+        match lane.store.append_encoded(&mut records) {
             Ok(_) => {
                 let n = (end - offset) as u64;
                 shared.stored.fetch_add(n, Ordering::Relaxed);
@@ -989,7 +1067,7 @@ fn store_group(
                     // give up; while the pipeline runs, start another:
                     // persistence never gives up on an event then.
                     None if shared.stop.load(Ordering::Relaxed) => {
-                        abandon(lane, (group.len() - offset) as u64);
+                        abandon(lane, (total - offset) as u64);
                         break;
                     }
                     None => {
@@ -1009,9 +1087,9 @@ fn store_group(
     // stage stamped and folded here — the only stage the consumer hop
     // never sees (the store lane is a branch, not a link, of the
     // delivery path).
-    if offset == group.len() && !traces.is_empty() && lane.tracer.enabled() {
+    if offset == total && lane.tracer.enabled() && group.iter().any(|b| !b.traces.is_empty()) {
         let commit_ns = lane.tracer.now_ns();
-        for rec in &mut traces {
+        for rec in group.iter_mut().flat_map(|b| &mut b.traces) {
             rec.stamp(TraceStage::StoreCommit, commit_ns);
             trace::fold_stage(rec, TraceStage::StoreCommit);
         }
@@ -1025,36 +1103,37 @@ fn abandon(lane: &LaneCtx, n: u64) {
 }
 
 /// A batch's changelog index range, plus (optionally) the index of the
-/// record behind each event.
-struct BatchRange {
+/// record behind each event, left in place in the message frame.
+struct BatchRange<'a> {
     first: u64,
     last: u64,
-    indices: Option<Vec<u64>>,
+    /// Big-endian `u64` per event; empty when the frame carries none.
+    indices: &'a [u8],
+}
+
+impl BatchRange<'_> {
+    /// Changelog index of event `i` of a `count`-event batch, when the
+    /// frame carries one index per event.
+    fn index(&self, i: usize, count: usize) -> Option<u64> {
+        if self.indices.len() != count * 8 {
+            return None;
+        }
+        let raw = self.indices[i * 8..i * 8 + 8].try_into().expect("8 bytes");
+        Some(u64::from_be_bytes(raw))
+    }
 }
 
 /// Parse a `u64 first | u64 last | u64 per-event-index…` frame. The
 /// per-event list is optional (a bare 16-byte range is valid).
-fn decode_range(frame: Option<&[u8]>) -> Option<BatchRange> {
+fn decode_range(frame: Option<&[u8]>) -> Option<BatchRange<'_>> {
     let frame = frame?;
     if frame.len() < 16 || frame.len() % 8 != 0 {
         return None;
     }
-    let first = u64::from_be_bytes(frame[..8].try_into().ok()?);
-    let last = u64::from_be_bytes(frame[8..16].try_into().ok()?);
-    let indices = if frame.len() > 16 {
-        Some(
-            frame[16..]
-                .chunks_exact(8)
-                .map(|c| u64::from_be_bytes(c.try_into().expect("chunks_exact(8)")))
-                .collect(),
-        )
-    } else {
-        None
-    };
     Some(BatchRange {
-        first,
-        last,
-        indices,
+        first: u64::from_be_bytes(frame[..8].try_into().ok()?),
+        last: u64::from_be_bytes(frame[8..16].try_into().ok()?),
+        indices: &frame[16..],
     })
 }
 
@@ -1076,7 +1155,7 @@ pub fn collector_socket(ctx: &Context, endpoint: &str) -> Result<PubSocket, fsmo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsmon_events::{encode_event_batch, EventKind, StandardEvent};
+    use fsmon_events::{decode_event_batch, encode_event_batch, EventKind, StandardEvent};
     use fsmon_store::MemStore;
 
     fn batch_msg(events: &[StandardEvent]) -> Message {
@@ -1180,6 +1259,48 @@ mod tests {
             .unwrap();
         assert!(agg.wait_received(1, Duration::from_secs(2)));
         assert!(agg.stats().decode_errors >= 1);
+        agg.stop();
+    }
+
+    #[test]
+    fn bytes_past_the_last_record_are_not_forwarded() {
+        // The decoder ignores bytes after a batch's last record; the
+        // worker lane copies records, not the payload, so neither the
+        // published frame nor the store sees them.
+        let ctx = Context::new();
+        let publisher = collector_socket(&ctx, "inproc://tail").unwrap();
+        let store = Arc::new(MemStore::new());
+        let agg = Aggregator::start(
+            &ctx,
+            &["inproc://tail".to_string()],
+            "inproc://agg-tail",
+            store.clone(),
+        )
+        .unwrap();
+        let consumer = consumer_socket(&ctx, "inproc://agg-tail").unwrap();
+        let mut events: Vec<StandardEvent> = ["a", "b"]
+            .iter()
+            .map(|p| StandardEvent::new(EventKind::Create, "/r", *p))
+            .collect();
+        let mut payload = encode_event_batch(&events).to_vec();
+        payload.extend_from_slice(b"trailing junk");
+        publisher
+            .send(Message::from_parts(vec![
+                bytes::Bytes::from_static(b"mdt0"),
+                bytes::Bytes::from(payload),
+            ]))
+            .unwrap();
+        let msg = consumer.recv_timeout(Duration::from_secs(2)).unwrap();
+        for (id, ev) in (1..).zip(&mut events) {
+            ev.id = id;
+        }
+        assert_eq!(msg.part(1).unwrap(), &encode_event_batch(&events)[..]);
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while store.stats().appended < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(store.get_since(0, 10).unwrap(), events);
+        assert_eq!(agg.stats().decode_errors, 0);
         agg.stop();
     }
 

@@ -462,7 +462,9 @@ impl Collector {
     /// Algorithm 1's `processEvent`: one Changelog record → one or two
     /// standardized events.
     pub fn process_record(&mut self, rec: &lustre_sim::ChangelogRecord) -> Vec<StandardEvent> {
-        self.resolver.process_record(rec)
+        let mut out = Vec::with_capacity(2);
+        self.resolver.process_record(rec, &mut out);
+        out
     }
 
     /// One collection cycle: read a batch, process it, purge the
@@ -698,9 +700,9 @@ impl Resolver {
         let mut events = Vec::with_capacity(records.len());
         let mut indices = Vec::with_capacity(records.len());
         for rec in records {
-            let produced = self.process_record(rec);
-            indices.extend(std::iter::repeat_n(rec.index, produced.len()));
-            events.extend(produced);
+            let before = events.len();
+            self.process_record(rec, &mut events);
+            indices.extend(std::iter::repeat_n(rec.index, events.len() - before));
         }
         self.prefetched.clear();
         (events, indices)
@@ -910,8 +912,8 @@ impl Resolver {
     }
 
     /// Algorithm 1's `processEvent`: one Changelog record → one or two
-    /// standardized events.
-    pub(crate) fn process_record(&mut self, rec: &ChangelogRecord) -> Vec<StandardEvent> {
+    /// standardized events, pushed onto `out`.
+    pub(crate) fn process_record(&mut self, rec: &ChangelogRecord, out: &mut Vec<StandardEvent>) {
         let kind = rec.kind.to_standard().0;
         self.admit(rec.time_ns);
 
@@ -952,7 +954,8 @@ impl Resolver {
             let mut to = self.event(rec, EventKind::MovedTo, new_path);
             to.old_path = Some(old_path);
             self.enrich(&mut to, new_fid);
-            return vec![from, to];
+            out.extend([from, to]);
+            return;
         }
 
         if rec.kind.deletes_target() {
@@ -972,7 +975,8 @@ impl Resolver {
                 cache.remove(&rec.target_fid);
             }
             self.events += 1;
-            return vec![ev];
+            out.push(ev);
+            return;
         }
 
         let path = self.path_of(rec).unwrap_or_else(|()| {
@@ -985,7 +989,7 @@ impl Resolver {
         self.events += 1;
         let mut ev = self.event(rec, kind, path);
         self.enrich(&mut ev, rec.target_fid);
-        vec![ev]
+        out.push(ev);
     }
 }
 

@@ -25,8 +25,8 @@
 //! from the reliable store instead of being disconnected.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use fsmon_events::wire::EVENT_ID_OFFSET;
-use fsmon_events::StandardEvent;
+use fsmon_events::wire::{record_spans, walk_event_batch};
+use fsmon_events::EventFields;
 use fsmon_mq::pubsub::FilterClass;
 use fsmon_mq::{Message, PubSocket};
 use fsmon_rules::{CompiledFilter, FilterSpec, SubscriptionIndex};
@@ -151,34 +151,71 @@ impl FanoutEngine {
     /// Match one stamped batch against every class and publish the
     /// per-class subset frames. `frame` is the full batch frame (u32
     /// count + encoded events) and `id_offsets` the id-field offsets
-    /// recorded at encode time, so event `i`'s record spans
-    /// `id_offsets[i] - EVENT_ID_OFFSET ..` the next record's start.
-    pub fn fan_out(&mut self, events: &[StandardEvent], id_offsets: &[usize], frame: &Bytes) {
+    /// recorded at encode time, which delimit the records
+    /// ([`record_spans`]). `events` are the frame's events, owned or as
+    /// views.
+    pub fn fan_out<E: EventFields>(&mut self, events: &[E], id_offsets: &[usize], frame: &Bytes) {
         self.refresh();
-        if self.lanes.is_empty() || events.is_empty() {
+        if self.lanes.is_empty() {
             return;
         }
+        self.route(
+            events.iter().zip(record_spans(id_offsets, frame.len())),
+            frame,
+        );
+    }
+
+    /// [`fan_out`](FanoutEngine::fan_out) straight from a stamped frame
+    /// whose records were validated upstream: each record is matched as
+    /// a borrowed view, and nothing is walked when no class is
+    /// registered.
+    pub(crate) fn fan_out_frame(&mut self, frame: &Bytes, id_offsets: &[usize]) {
+        self.refresh();
+        if self.lanes.is_empty() || id_offsets.is_empty() {
+            return;
+        }
+        let Ok(walk) = walk_event_batch(frame) else {
+            return;
+        };
+        self.route(
+            walk.map_while(Result::ok).map(|(span, view)| (view, span)),
+            frame,
+        );
+    }
+
+    /// Match each `(event, record span)` once against the refreshed,
+    /// non-empty index and publish one subset frame per class.
+    fn route<E: EventFields>(
+        &mut self,
+        events: impl Iterator<Item = (E, std::ops::Range<usize>)>,
+        frame: &Bytes,
+    ) {
         for lane in &mut self.lanes {
             lane.ranges.clear();
         }
         let bytes = frame.as_slice();
-        for (i, ev) in events.iter().enumerate() {
-            self.index.matches_into(ev, &mut self.match_scratch);
+        let mut count = 0usize;
+        let (mut first_id, mut last_id) = (0, 0);
+        for (ev, span) in events {
+            if count == 0 {
+                first_id = ev.id();
+            }
+            last_id = ev.id();
+            count += 1;
+            self.index.matches_into(&ev, &mut self.match_scratch);
             if self.match_scratch.is_empty() {
                 continue;
             }
-            let start = id_offsets[i] - EVENT_ID_OFFSET;
-            let end = match id_offsets.get(i + 1) {
-                Some(next) => next - EVENT_ID_OFFSET,
-                None => bytes.len(),
-            };
             self.t_matched.add(self.match_scratch.len() as u64);
             for &class in &self.match_scratch {
-                self.lanes[class as usize].ranges.push((start, end));
+                self.lanes[class as usize]
+                    .ranges
+                    .push((span.start, span.end));
             }
         }
-        let first_id = events[0].id;
-        let last_id = events[events.len() - 1].id;
+        if count == 0 {
+            return;
+        }
         for lane in &mut self.lanes {
             // Every class gets a frame for every batch — an empty one
             // still advances the consumer's watermark, which is what
@@ -193,7 +230,7 @@ impl FanoutEngine {
             // and the class's `shed` counter owns the accounting.
             let admitted = lane.handle.admit(lane.ranges.len());
             lane.ranges.truncate(admitted);
-            let payload = if lane.ranges.len() == events.len() {
+            let payload = if lane.ranges.len() == count {
                 // The whole batch matched: reuse the full frame,
                 // zero-copy.
                 frame.clone()
@@ -224,7 +261,7 @@ impl FanoutEngine {
 mod tests {
     use super::*;
     use fsmon_events::wire::encode_event_batch_offsets;
-    use fsmon_events::{wire::decode_event_batch, EventKind};
+    use fsmon_events::{wire::decode_event_batch, EventKind, StandardEvent};
     use fsmon_mq::{Context, RingPoll};
 
     type Stamped = (Vec<StandardEvent>, Vec<usize>, Bytes);

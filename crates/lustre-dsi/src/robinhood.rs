@@ -137,7 +137,7 @@ impl RobinhoodMonitor {
         }
         let mut events = Vec::with_capacity(records.len());
         for rec in &records {
-            events.extend(self.resolver.process_record(rec));
+            self.resolver.process_record(rec, &mut events);
         }
         self.stats.records += records.len() as u64;
         self.cursors[mdt] = records.last().expect("non-empty").index;

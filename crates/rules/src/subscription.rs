@@ -26,7 +26,7 @@
 
 use crate::pattern::PathPattern;
 use fsmon_events::kind::KindMask;
-use fsmon_events::{EventKind, StandardEvent};
+use fsmon_events::{EventFields, EventKind};
 use std::collections::HashMap;
 
 /// A parse error for a [`FilterSpec`] string.
@@ -329,19 +329,16 @@ impl CompiledFilter {
     }
 
     /// Full predicate: kind mask, MDT set, and the path pattern against
-    /// the event's path (or, for renames, its old path).
-    pub fn matches_event(&self, ev: &StandardEvent) -> bool {
-        if !self.spec.kinds.contains(ev.kind) {
+    /// the event's path (or, for renames, its old path). Works on an
+    /// owned event or a frame-borrowed view alike.
+    pub fn matches_event<E: EventFields + ?Sized>(&self, ev: &E) -> bool {
+        if !self.spec.kinds.contains(ev.kind()) {
             return false;
         }
-        if !self.mdt_matches(ev.mdt_index) {
+        if !self.mdt_matches(ev.mdt_index()) {
             return false;
         }
-        self.pattern.matches(&ev.path)
-            || ev
-                .old_path
-                .as_deref()
-                .is_some_and(|p| self.pattern.matches(p))
+        self.pattern.matches(ev.path()) || ev.old_path().is_some_and(|p| self.pattern.matches(p))
     }
 }
 
@@ -396,7 +393,7 @@ impl SubscriptionIndex {
         self.filters.is_empty()
     }
 
-    fn walk_path(&self, path: &str, ev: &StandardEvent, out: &mut Vec<u32>) {
+    fn walk_path<E: EventFields + ?Sized>(&self, path: &str, ev: &E, out: &mut Vec<u32>) {
         // Root-anchored candidates (patterns with no literal prefix)
         // are checked for every event; deeper anchors only when the
         // event's path actually passes through them.
@@ -421,14 +418,15 @@ impl SubscriptionIndex {
         }
     }
 
-    /// Collect the sorted, deduplicated class indices matching `ev`.
-    pub fn matches_into(&self, ev: &StandardEvent, out: &mut Vec<u32>) {
+    /// Collect the sorted, deduplicated class indices matching `ev` (an
+    /// owned event or a frame-borrowed view).
+    pub fn matches_into<E: EventFields + ?Sized>(&self, ev: &E, out: &mut Vec<u32>) {
         out.clear();
         if self.filters.is_empty() {
             return;
         }
-        self.walk_path(&ev.path, ev, out);
-        if let Some(old) = ev.old_path.as_deref() {
+        self.walk_path(ev.path(), ev, out);
+        if let Some(old) = ev.old_path() {
             self.walk_path(old, ev, out);
         }
         out.sort_unstable();
@@ -437,7 +435,7 @@ impl SubscriptionIndex {
 
     /// Allocating convenience wrapper around
     /// [`matches_into`](SubscriptionIndex::matches_into).
-    pub fn matches(&self, ev: &StandardEvent) -> Vec<u32> {
+    pub fn matches<E: EventFields + ?Sized>(&self, ev: &E) -> Vec<u32> {
         let mut out = Vec::new();
         self.matches_into(ev, &mut out);
         out
@@ -446,7 +444,7 @@ impl SubscriptionIndex {
     /// Reference semantics: evaluate every class directly, no trie.
     /// The property test pins `matches == brute_force` across random
     /// predicate sets and event streams.
-    pub fn brute_force(&self, ev: &StandardEvent) -> Vec<u32> {
+    pub fn brute_force<E: EventFields + ?Sized>(&self, ev: &E) -> Vec<u32> {
         self.filters
             .iter()
             .enumerate()
@@ -459,6 +457,7 @@ impl SubscriptionIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsmon_events::StandardEvent;
 
     fn ev(kind: EventKind, path: &str) -> StandardEvent {
         StandardEvent::new(kind, "/r", path)

@@ -9,9 +9,14 @@
 //! payload = fsmon-events wire encoding of the StandardEvent
 //! ```
 //!
-//! The batch is the unit of I/O: [`FileStore::append_batch`] encodes a
-//! whole batch into one reused frame buffer and lands it with a single
-//! `write_all` per segment touched, under a single lock acquisition.
+//! The batch is the unit of I/O, and there is one commit path:
+//! [`append_encoded`](EventStore::append_encoded) copies a batch of
+//! already-encoded records (as the aggregator forwards them from a
+//! collector's frame) behind their `len | crc` headers into one reused
+//! frame buffer, stamping each record's id with its sequence, and lands
+//! it with a single `write_all` per segment touched, under a single lock
+//! acquisition. [`FileStore::append_batch`] encodes its events and
+//! takes the same path, so both write the same bytes.
 //! Replay does not keep events in memory — each segment carries a
 //! sparse sequence→byte-offset index (one entry every
 //! [`FileStoreOptions::index_every`] records, built at append time and
@@ -29,8 +34,8 @@
 use crate::crc::crc32;
 use crate::{Durability, EventStore, StoreError, StoreStats};
 use bytes::{Bytes, BytesMut};
-use fsmon_events::wire::{encode_event_into, patch_event_id, EVENT_ID_OFFSET};
-use fsmon_events::{decode_event, StandardEvent};
+use fsmon_events::wire::{patch_event_id, record_spans, EVENT_ID_OFFSET};
+use fsmon_events::{decode_event, encode_event_batch_offsets, StandardEvent};
 use fsmon_faults::{FaultPoint, Faults};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -462,9 +467,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 /// CRC-valid record is trusted except for the minimal framing the
 /// replay path depends on (fixed header present, known wire version).
 fn payload_seq(payload: &[u8]) -> Option<u64> {
-    let known_version = (fsmon_events::wire::MIN_WIRE_VERSION..=fsmon_events::wire::WIRE_VERSION)
-        .contains(payload.first()?);
-    if payload.len() < 26 || !known_version {
+    if payload.len() < 26 || payload[0] != fsmon_events::wire::WIRE_VERSION {
         return None;
     }
     let id = payload[EVENT_ID_OFFSET..EVENT_ID_OFFSET + 8]
@@ -576,14 +579,29 @@ impl EventStore for FileStore {
         self.append_batch(std::slice::from_ref(event))
     }
 
-    /// Native group commit: the whole batch is encoded into one reused
-    /// frame buffer and landed with a single `write_all` per segment
-    /// touched, under a single lock acquisition. On failure (injected
-    /// I/O error or torn tail), the events encoded before the failure
-    /// are already durable and counted, so the caller resumes the
-    /// suffix from the `stats().appended` delta.
+    /// Encode the batch, then commit it through
+    /// [`append_encoded`](EventStore::append_encoded) — the one commit
+    /// path, so both entry points write the same bytes.
     fn append_batch(&self, events: &[StandardEvent]) -> Result<u64, StoreError> {
-        if events.is_empty() {
+        let mut frame = BytesMut::new();
+        let mut id_offsets = Vec::with_capacity(events.len());
+        encode_event_batch_offsets(events, &mut frame, &mut id_offsets);
+        let mut records = record_spans(&id_offsets, frame.len()).map(|span| &frame[span]);
+        self.append_encoded(&mut records)
+    }
+
+    /// Native group commit: each record is copied behind its
+    /// `len | crc` header into one reused frame buffer, its id field
+    /// overwritten with the assigned sequence and the CRC taken over the
+    /// result; the group lands with a single `write_all` per segment
+    /// touched, under a single lock acquisition. On failure (injected
+    /// I/O error or torn tail, or a record without a valid header), the
+    /// records copied before the failure are already durable and
+    /// counted, so the caller resumes the suffix from the
+    /// `stats().appended` delta.
+    fn append_encoded(&self, records: &mut dyn Iterator<Item = &[u8]>) -> Result<u64, StoreError> {
+        let mut records = records.peekable();
+        if records.peek().is_none() {
             return Ok(0);
         }
         let t0 = std::time::Instant::now();
@@ -593,14 +611,14 @@ impl EventStore for FileStore {
         let mut batch_bytes = 0u64;
         let mut result: Result<(), StoreError> = Ok(());
 
-        while committed < events.len() && result.is_ok() {
+        while records.peek().is_some() && result.is_ok() {
             let next = inner.next_seq + 1;
             let seg_idx = self.active_segment(inner, next)?;
             let seg_base = inner.segments[seg_idx].bytes;
             let seg_first = inner.segments[seg_idx].first_seq;
+            let index_mark = inner.segments[seg_idx].index.len();
             inner.frame_buf.clear();
             let mut n_group = 0usize;
-            let mut group_index: Vec<(u64, u64)> = Vec::new();
             // Extent of the group's complete frames; a torn frame (if
             // any) starts here and is never committed.
             let mut complete_len = 0usize;
@@ -609,13 +627,13 @@ impl EventStore for FileStore {
             // the torn frame when a torn tail is injected.
             let mut write_len = 0usize;
 
-            while committed + n_group < events.len() {
+            while let Some(&record) = records.peek() {
                 if n_group > 0 && seg_base + complete_len as u64 >= inner.segment_bytes {
                     break; // segment full: land this group, then roll
                 }
-                // Injected transient I/O error: fail before this event
+                // Injected transient I/O error: fail before this record
                 // makes any state change, so a retry reuses its
-                // sequence. Events already encoded in this group still
+                // sequence. Records already copied in this group still
                 // land — they are the durable prefix the caller resumes
                 // past.
                 if self.faults.inject(FaultPoint::StoreAppend).is_some() {
@@ -624,28 +642,38 @@ impl EventStore for FileStore {
                     )));
                     break;
                 }
+                if payload_seq(record).is_none() {
+                    result = Err(StoreError::Corrupt(format!(
+                        "record of {} bytes has no valid event header",
+                        record.len()
+                    )));
+                    break;
+                }
                 let seq = inner.next_seq + n_group as u64 + 1;
                 let header_at = inner.frame_buf.len();
-                inner.frame_buf.extend_from_slice(&[0u8; HEADER]);
+                inner
+                    .frame_buf
+                    .extend_from_slice(&(record.len() as u32).to_be_bytes());
+                inner.frame_buf.extend_from_slice(&[0u8; 4]);
                 let payload_at = inner.frame_buf.len();
-                encode_event_into(&events[committed + n_group], &mut inner.frame_buf);
+                inner.frame_buf.extend_from_slice(record);
                 patch_event_id(&mut inner.frame_buf, payload_at + EVENT_ID_OFFSET, seq);
-                let payload_len = inner.frame_buf.len() - payload_at;
                 let crc = crc32(&inner.frame_buf[payload_at..]);
-                inner.frame_buf[header_at..header_at + 4]
-                    .copy_from_slice(&(payload_len as u32).to_be_bytes());
-                inner.frame_buf[header_at + 4..header_at + 8].copy_from_slice(&crc.to_be_bytes());
+                inner.frame_buf[header_at + 4..payload_at].copy_from_slice(&crc.to_be_bytes());
                 if self.faults.inject(FaultPoint::StoreTornTail).is_some() {
-                    // Injected torn tail: half of this event's frame
+                    // Injected torn tail: half of this record's frame
                     // lands after the group's complete frames, as if
                     // the process died mid-batch-write.
                     torn = true;
-                    write_len = payload_at + payload_len / 2;
+                    write_len = payload_at + record.len() / 2;
                     result = Err(StoreError::Io(std::io::Error::other("injected torn tail")));
                     break;
                 }
+                records.next();
                 if (seq - seg_first).is_multiple_of(inner.index_every) {
-                    group_index.push((seq, seg_base + header_at as u64));
+                    inner.segments[seg_idx]
+                        .index
+                        .push((seq, seg_base + header_at as u64));
                 }
                 n_group += 1;
                 complete_len = inner.frame_buf.len();
@@ -670,6 +698,7 @@ impl EventStore for FileStore {
                     // commit.
                     seg.sealed = true;
                     seg.file = None;
+                    seg.index.truncate(index_mark);
                     self.t_append_errors.inc();
                     return Err(e.into());
                 }
@@ -682,7 +711,6 @@ impl EventStore for FileStore {
                 let seg = &mut inner.segments[seg_idx];
                 seg.bytes = seg_base + complete_len as u64;
                 seg.last_seq = inner.next_seq + n_group as u64;
-                seg.index.extend(group_index);
                 inner.next_seq += n_group as u64;
                 inner.appended += n_group as u64;
                 inner.pending_sync_bytes += complete_len as u64;

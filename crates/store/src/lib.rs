@@ -168,6 +168,31 @@ pub trait EventStore: Send + Sync {
         Ok(last)
     }
 
+    /// Append already-encoded event records in order (group commit);
+    /// each item is one `fsmon-events` wire record, as the aggregator
+    /// forwards them from a collector's frame. The stored copy's id is
+    /// the assigned sequence, whatever id the record carries. Returns the
+    /// last assigned sequence (0 for no records), with
+    /// [`append_batch`](EventStore::append_batch)'s resume contract: on
+    /// error the records before the failure are appended and counted.
+    /// The default decodes each record and appends the events; a record
+    /// that does not decode fails the call after the prefix before it.
+    fn append_encoded(&self, records: &mut dyn Iterator<Item = &[u8]>) -> Result<u64, StoreError> {
+        let mut events = Vec::new();
+        let mut bad = None;
+        for record in records {
+            match fsmon_events::EventView::parse(record) {
+                Ok((view, _)) => events.push(view.to_event()),
+                Err(e) => {
+                    bad = Some(StoreError::Corrupt(format!("undecodable record: {e}")));
+                    break;
+                }
+            }
+        }
+        let last = self.append_batch(&events)?;
+        bad.map_or(Ok(last), Err)
+    }
+
     /// Fetch up to `max` events with sequence strictly greater than
     /// `since` (the consumer replay API: "if users provide an event
     /// identifier, FSMonitor will only report events that have happened

@@ -32,7 +32,7 @@ for shards in 1 2; do
     echo "    storm at ${shards} shard(s): verdict and store PASS"
 done
 
-echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP tests 50 runs, consumer conformance 20 runs)"
+echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP tests 50 runs, consumer conformance 20 runs, allocations 20 runs)"
 # Tier-1 must be green every run, not most runs. Two spinner processes
 # take the cores away from the pipeline's threads at arbitrary points,
 # which is what turned the resolver-pool race into a 1-in-4 failure of
@@ -44,8 +44,10 @@ echo "==> stress under CPU contention (automation 100 runs, chaos 20 runs, TCP t
 # because a TCP subscription is acknowledged, not waited out: they have
 # no settling sleep left for a loaded host to outlast, and must not
 # need one. The consumer conformance table rides along because every
-# consumer shape, K=1 included, now waits on one arrival signal. A
-# single failure of any binary fails the gate.
+# consumer shape, K=1 included, now waits on one arrival signal. The
+# allocation count rides along because its per-event bound must hold
+# however the scheduler splits the backlog into store groups. A single
+# failure of any binary fails the gate.
 test_bin() { # package executable-stem cargo-target-args...
     local pkg="$1" stem="$2"
     shift 2
@@ -56,9 +58,11 @@ automation_bin="$(test_bin fsmon-integration automation --test automation)"
 chaos_bin="$(test_bin fsmon-integration chaos --test chaos)"
 end_to_end_bin="$(test_bin fsmon-integration end_to_end --test end_to_end)"
 tcp_start_bin="$(test_bin fsmon-integration tcp_start --test tcp_start)"
+allocations_bin="$(test_bin fsmon-integration allocations --test allocations)"
 mq_bin="$(test_bin fsmon-mq fsmon_mq --lib)"
 lustre_bin="$(test_bin fsmon-lustre fsmon_lustre --lib)"
-for bin in "$automation_bin" "$chaos_bin" "$end_to_end_bin" "$tcp_start_bin" "$mq_bin" "$lustre_bin"; do
+for bin in "$automation_bin" "$chaos_bin" "$end_to_end_bin" "$tcp_start_bin" "$allocations_bin" \
+    "$mq_bin" "$lustre_bin"; do
     test -x "$bin"
 done
 spinners=()
@@ -84,6 +88,7 @@ stress lustre-tcp "$lustre_bin" 50 tcp_transport_end_to_end
 stress end-to-end-tcp "$end_to_end_bin" 50 tcp_deployment_shape_works_end_to_end
 stress tcp-start "$tcp_start_bin" 50
 stress consumer-conformance "$lustre_bin" 20 every_consumer_shape_delivers_the_store_replay_exactly_once
+stress allocations "$allocations_bin" 20
 kill "${spinners[@]}" 2>/dev/null || true
 trap - EXIT
 

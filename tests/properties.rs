@@ -2,8 +2,8 @@
 
 use bytes::Bytes;
 use fsmon_events::{
-    decode_event, decode_event_batch, encode_event, encode_event_batch, EventKind, MonitorSource,
-    StandardEvent,
+    decode_event, decode_event_batch, encode_event, encode_event_batch, walk_event_batch,
+    EventFields, EventKind, EventView, MonitorSource, StandardEvent,
 };
 use fsmon_lustre::Collector;
 use lustre_sim::{ChangelogRecord, Fid, LustreConfig, LustreFs};
@@ -86,6 +86,40 @@ prop_compose! {
     }
 }
 
+/// Walk `raw` as a batch frame and check the walk against
+/// `decode_event_batch`: both accept or both reject, and on acceptance
+/// every view equals its decoded event field for field and its byte
+/// range tiles the frame from offset 4. Returns the record count of an
+/// accepted frame.
+fn walker_agrees_with_decoder(raw: &[u8]) -> Option<usize> {
+    let decoded = decode_event_batch(&Bytes::copy_from_slice(raw));
+    let walked: Result<Vec<(std::ops::Range<usize>, EventView<'_>)>, _> =
+        walk_event_batch(raw).and_then(|walk| walk.collect());
+    match (&walked, &decoded) {
+        (Ok(views), Ok(events)) => {
+            assert_eq!(views.len(), events.len());
+            let mut at = 4;
+            for ((range, view), ev) in views.iter().zip(events) {
+                assert_eq!(range.start, at);
+                at = range.end;
+                assert_eq!(view.to_event(), *ev);
+                assert_eq!(
+                    (view.id(), view.kind(), view.is_dir(), view.mdt_index()),
+                    (ev.id, ev.kind, ev.is_dir, ev.mdt_index)
+                );
+                assert_eq!(view.path(), ev.path);
+                assert_eq!(view.old_path(), ev.old_path.as_deref());
+            }
+            Some(views.len())
+        }
+        (Err(w), Err(d)) => {
+            assert_eq!(w, d, "walker and decoder reject for different reasons");
+            None
+        }
+        _ => panic!("walker {walked:?} and decoder {decoded:?} disagree on {raw:?}"),
+    }
+}
+
 /// Random pushdown predicates: glob patterns assembled from the same
 /// component alphabet the event stream draws paths from (so literal
 /// trie prefixes collide and diverge), random kind subsets, and
@@ -158,7 +192,55 @@ proptest! {
     fn decoder_never_panics_on_garbage(raw in prop::collection::vec(any::<u8>(), 0..256)) {
         // Must return an error or a value, never panic.
         let _ = decode_event(&Bytes::from(raw.clone()));
+        walker_agrees_with_decoder(&raw);
         let _ = decode_event_batch(&Bytes::from(raw));
+    }
+
+    /// The allocation-free walker and the owning decoder are one
+    /// parser: on random batches (renames with old paths, size/owner
+    /// tails, both `is_dir` values), on every truncation of them and
+    /// on random byte flips, the walker accepts exactly the frames the
+    /// decoder accepts, and each view carries the decoded event's
+    /// fields.
+    #[test]
+    fn batch_walker_agrees_with_decoder(
+        evs in prop::collection::vec(arb_event(), 0..12),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        let frame = encode_event_batch(&evs);
+        let walked = walker_agrees_with_decoder(&frame).expect("intact frame walks");
+        prop_assert_eq!(walked, evs.len());
+        for cut in 0..frame.len() {
+            walker_agrees_with_decoder(&frame[..cut]);
+        }
+        let mut flipped = frame.to_vec();
+        for (at, mask) in flips {
+            let at = at % flipped.len();
+            flipped[at] ^= mask;
+        }
+        walker_agrees_with_decoder(&flipped);
+    }
+
+    /// Fan-out matches on frame-borrowed views: over views the index
+    /// selects exactly what it selects over the decoded events, and
+    /// both equal the brute-force per-class evaluation.
+    #[test]
+    fn subscription_index_matches_views_as_events(
+        specs in arb_filter_specs(),
+        events in arb_filter_stream(),
+    ) {
+        use fsmon_rules::SubscriptionIndex;
+        let index = SubscriptionIndex::build(specs.iter().map(|s| s.compile()).collect());
+        let frame = encode_event_batch(&events);
+        let decoded = decode_event_batch(&frame).unwrap();
+        let (mut on_view, mut on_event) = (Vec::new(), Vec::new());
+        for (record, ev) in walk_event_batch(&frame).unwrap().zip(&decoded) {
+            let (_, view) = record.unwrap();
+            index.matches_into(&view, &mut on_view);
+            index.matches_into(ev, &mut on_event);
+            prop_assert_eq!(&on_view, &on_event, "view and event disagree on {:?}", ev);
+            prop_assert_eq!(&on_view, &index.brute_force(&view));
+        }
     }
 
     #[test]
